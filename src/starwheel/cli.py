@@ -14,7 +14,7 @@ import sys
 
 from . import graph6
 from .construct import lower_bound_witness, regular_bounded_components
-from .core import blocks, components, circumference, girth, max_degree, min_degree
+from .core import blocks, components, girth, max_degree, min_degree
 from .detect import cycle_spectrum
 from .ramsey import compute_ramsey, formula, is_good_coloring
 from .theorems import (
@@ -111,8 +111,8 @@ def _cmd_analyze(args) -> int:
             continue
         g = graph6.from_graph6(line)
         low = girth(g)
-        high = circumference(g)
         spectrum = cycle_spectrum(g)
+        high = max(spectrum) if spectrum else None
         print(
             f"nu={g.n}"
             f" size={g.edge_count()}"

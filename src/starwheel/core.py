@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from collections import deque
 
+from . import _cycles
+
 
 def _bits(mask: int):
     """Yield the set bit positions of ``mask`` in increasing order."""
@@ -346,8 +348,6 @@ def circumference(g: Graph, node_budget=None):
     budget is shared across the whole call and exhaustion raises, never
     returning a wrong answer.
     """
-    from . import _cycles
-
     if girth(g) is None:
         return None
     budget = _cycles.Budget(node_budget)

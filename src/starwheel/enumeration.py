@@ -14,7 +14,9 @@ appears exactly once, with no cross-level bookkeeping.
 The canonicity test is backtracking over orderings that tie the target
 word-for-word, aborting as soon as any ordering beats it; interchangeable
 vertices (equal rows ignoring their mutual bits, so swapping them is an
-automorphism) are pruned to one representative per node.
+automorphism) are pruned to one representative per node. The canonical
+form reuses this test: it relabels by the prefix that beats the current
+labeling (unplaced vertices after it, in index order) until none does.
 """
 
 from __future__ import annotations
@@ -24,10 +26,12 @@ from .core import Graph
 __all__ = ["is_canonical", "canonical_form", "is_isomorphic", "enumerate_degree_bounded"]
 
 
-def is_canonical(rows, n: int) -> bool:
-    """True iff this labeling lex-maximizes the column-word tuple."""
+def _improvement(rows, n: int):
+    """None iff this labeling lex-maximizes the column-word tuple; else the
+    ``pos`` array (position of each vertex, -1 if unplaced) of the first
+    ordering prefix found whose words beat the labeling's."""
     if n <= 1:
-        return True
+        return None
     pos = [-1] * n
 
     def attempt(depth, placed_mask, unplaced):
@@ -46,6 +50,7 @@ def is_canonical(rows, n: int) -> bool:
                 w |= 1 << pos[nlow.bit_length() - 1]
                 nb ^= nlow
             if w > target:
+                pos[u] = depth
                 return False
             if w == target:
                 ties.append(u)
@@ -62,98 +67,32 @@ def is_canonical(rows, n: int) -> bool:
             if skip:
                 continue
             pos[u] = depth
-            ok = attempt(depth + 1, placed_mask | bu, unplaced ^ bu)
-            pos[u] = -1
-            if not ok:
+            if not attempt(depth + 1, placed_mask | bu, unplaced ^ bu):
                 return False
+            pos[u] = -1
         return True
 
-    # position 0 carries no word: every vertex starts a candidate ordering
-    full = (1 << n) - 1
-    for v in range(n):
-        bv = 1 << v
-        skip = False
-        for prev in range(v):
-            both = bv | (1 << prev)
-            if (rows[v] | both) == (rows[prev] | both):
-                skip = True
-                break
-        if skip:
-            continue
-        pos[v] = 0
-        ok = attempt(1, bv, full ^ bv)
-        pos[v] = -1
-        if not ok:
-            return False
-    return True
+    # position 0 carries no word: every vertex ties there
+    return None if attempt(0, 0, (1 << n) - 1) else pos
 
 
-def _canonical_order(rows, n: int) -> list:
-    """An ordering of the vertices achieving the lex-max word tuple."""
-    if n == 0:
-        return []
-    best_words = None
-    best_order = None
-    pos = [-1] * n
-    placed = []
-
-    def search(depth, placed_mask, unplaced, words, tight):
-        nonlocal best_words, best_order
-        if depth == n:
-            if best_words is None or words > best_words:
-                best_words = words[:]
-                best_order = placed[:]
-            return
-        scored = []
-        m = unplaced
-        while m:
-            low = m & -m
-            u = low.bit_length() - 1
-            m ^= low
-            w = 0
-            nb = rows[u] & placed_mask
-            while nb:
-                nlow = nb & -nb
-                w |= 1 << pos[nlow.bit_length() - 1]
-                nb ^= nlow
-            scored.append((w, u))
-        wmax = max(w for w, _ in scored)
-        if tight and best_words is not None:
-            ref = best_words[depth]
-            if wmax < ref:
-                return
-            if wmax > ref:
-                tight = False
-        ties = [u for w, u in scored if w == wmax]
-        words.append(wmax)
-        for i, u in enumerate(ties):
-            bu = 1 << u
-            skip = False
-            for prev in ties[:i]:
-                both = bu | (1 << prev)
-                if (rows[u] | both) == (rows[prev] | both):
-                    skip = True
-                    break
-            if skip:
-                continue
-            pos[u] = depth
-            placed.append(u)
-            search(depth + 1, placed_mask | bu, unplaced ^ bu, words, tight)
-            placed.pop()
-            pos[u] = -1
-        words.pop()
-
-    search(0, 0, (1 << n) - 1, [], True)
-    return best_order
+def is_canonical(rows, n: int) -> bool:
+    """True iff this labeling lex-maximizes the column-word tuple."""
+    return _improvement(rows, n) is None
 
 
 def canonical_form(g: Graph) -> Graph:
     """The canonical representative of g's isomorphism class."""
-    order = _canonical_order(g.rows, g.n)
-    perm = [0] * g.n
-    for position, v in enumerate(order):
-        perm[v] = position
-    return g.relabel(perm)
+    while (pos := _improvement(g.rows, g.n)) is not None:
+        # the beating prefix first, then the unplaced vertices in index order;
+        # the word tuple strictly increases, so this ends at the lex-max labeling
+        rest = max(pos) + 1
+        for v in range(g.n):
+            if pos[v] < 0:
+                pos[v] = rest
+                rest += 1
+        g = g.relabel(pos)
+    return g
 
 
 def is_isomorphic(a: Graph, b: Graph) -> bool:

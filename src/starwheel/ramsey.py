@@ -17,6 +17,7 @@ reports reproducible byte for byte and independent of the worker count.
 
 from __future__ import annotations
 
+import contextlib
 import multiprocessing
 import time
 from dataclasses import dataclass
@@ -210,7 +211,11 @@ def arrows(order: int, n: int, m: int, workers: int = 1, node_budget=None) -> Se
     witness_rows = None
     error = None
     if workers <= 1 or len(tasks) <= 1:
-        results = map(_scan_task, tasks)
+        runner = contextlib.nullcontext()
+    else:
+        runner = multiprocessing.get_context("fork").Pool(min(workers, len(tasks)))
+    with runner as pool:
+        results = map(_scan_task, tasks) if pool is None else pool.imap(_scan_task, tasks)
         for tested, rows, err in results:
             total += tested
             if err is not None:
@@ -219,18 +224,6 @@ def arrows(order: int, n: int, m: int, workers: int = 1, node_budget=None) -> Se
             if rows is not None:
                 witness_rows = rows
                 break
-    else:
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(min(workers, len(tasks))) as pool:
-            for tested, rows, err in pool.imap(_scan_task, tasks):
-                total += tested
-                if err is not None:
-                    error = err
-                    break
-                if rows is not None:
-                    witness_rows = rows
-                    break
-            pool.terminate()
     if error is not None:
         raise SearchBudgetExceeded(error)
 

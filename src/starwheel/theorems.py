@@ -137,21 +137,9 @@ def _bipartitions(g: Graph):
     base = is_bipartite(g)
     if base is None:
         return
+    # each component's smallest vertex is in base's X side
+    in_y = set(base[1])
     comps = components(g)
-    color = {}
-    for comp in comps:
-        sub_color = {}
-        sub = set(comp)
-        head = comp[0]
-        sub_color[head] = 0
-        stack = [head]
-        while stack:
-            u = stack.pop()
-            for v in g.neighbors(u):
-                if v in sub and v not in sub_color:
-                    sub_color[v] = 1 - sub_color[u]
-                    stack.append(v)
-        color[comp] = sub_color
     seen = set()
     for flips in range(1 << len(comps)):
         xs = []
@@ -159,7 +147,7 @@ def _bipartitions(g: Graph):
         for i, comp in enumerate(comps):
             flip = (flips >> i) & 1
             for v in comp:
-                (ys if color[comp][v] ^ flip else xs).append(v)
+                (ys if (v in in_y) ^ flip else xs).append(v)
         for side_a, side_b in ((xs, ys), (ys, xs)):
             key = tuple(sorted(side_a))
             if key in seen:

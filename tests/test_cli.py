@@ -168,6 +168,17 @@ class TestFuzz:
         assert out.splitlines()[0] == "graphs=52"
         assert out.splitlines()[-1] == "no counterexamples"
 
+    def test_tallies_pinned(self, capsys):
+        code, out, _ = run_cli(["fuzz", "--max-order", "6"], capsys=capsys)
+        assert code == 0
+        assert out == (
+            "graphs=208\n"
+            "brandt hypothesis-not-met=184 conclusion-holds=24 counterexample=0\n"
+            "dirac hypothesis-not-met=138 conclusion-holds=70 counterexample=0\n"
+            "jackson hypothesis-not-met=379 conclusion-holds=9 counterexample=0\n"
+            "no counterexamples\n"
+        )
+
     def test_empty(self, capsys):
         code, out, _ = run_cli(["fuzz", "--max-order", "0"], capsys=capsys)
         assert code == 0 and out.splitlines()[0] == "graphs=0"

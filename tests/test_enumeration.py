@@ -10,6 +10,7 @@ from _oracles import (
     random_graph,
     random_permutation,
 )
+from starwheel.construct import lower_bound_witness
 from starwheel.core import max_degree
 from starwheel.enumeration import (
     canonical_form,
@@ -43,6 +44,18 @@ class TestCanonicalForm:
             cf = canonical_form(g)
             assert is_canonical(cf.rows, cf.n)
             assert canonical_form(cf) == cf
+
+    @pytest.mark.parametrize("n,m", [(5, 6), (6, 8), (7, 10), (8, 12)])
+    def test_twin_heavy_witnesses_above_order_8(self, n, m):
+        # orders 12..20; the K_n block and the regular complement are full of twins
+        g = lower_bound_witness(n, m)
+        assert g.n > 8
+        rng = random.Random(73 + n)
+        forms = {canonical_form(g.relabel(random_permutation(rng, g.n))) for _ in range(3)}
+        assert len(forms) == 1
+        cf = forms.pop()
+        assert cf == canonical_form(g)
+        assert is_canonical(cf.rows, cf.n)
 
     def test_is_isomorphic_against_brute_force(self):
         rng = random.Random(71)
