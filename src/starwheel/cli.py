@@ -17,15 +17,7 @@ from .construct import lower_bound_witness, regular_bounded_components
 from .core import blocks, components, girth, max_degree, min_degree
 from .detect import cycle_spectrum
 from .ramsey import compute_ramsey, formula, is_good_coloring
-from .theorems import (
-    CONCLUSION_HOLDS,
-    COUNTEREXAMPLE,
-    DEFAULT_CHECKS,
-    Verdict,
-    check_dirac,
-    fuzz,
-    fuzz_all_graphs,
-)
+from .theorems import DEFAULT_CHECKS, fuzz, fuzz_all_graphs
 
 
 def _threads(value) -> int:
@@ -127,29 +119,13 @@ def _cmd_analyze(args) -> int:
     return 0
 
 
-def _sabotaged_dirac(g, node_budget):
-    # test hook: deliberately overclaims Dirac's bound by one
-    verdict = check_dirac(g, node_budget)
-    if verdict.status != CONCLUSION_HOLDS:
-        yield verdict
-        return
-    need = min(2 * min_degree(g), g.n) + 1
-    if verdict.witness >= need:
-        yield verdict
-    else:
-        yield Verdict(COUNTEREXAMPLE, witness=verdict.witness, detail="sabotaged bound")
-
-
 def _cmd_fuzz(args) -> int:
-    checks = dict(DEFAULT_CHECKS)
-    if args.sabotage:
-        checks["dirac"] = _sabotaged_dirac
     if args.corpus is not None:
         with open(args.corpus, "r", encoding="ascii") as handle:
             corpus = list(graph6.iter_graph6_lines(handle))
-        summary = fuzz(corpus, checks)
+        summary = fuzz(corpus, DEFAULT_CHECKS)
     else:
-        summary = fuzz_all_graphs(args.max_order, checks) if args.max_order >= 1 else fuzz([], checks)
+        summary = fuzz_all_graphs(args.max_order, DEFAULT_CHECKS)
     for line in summary.lines():
         print(line)
     return 0 if summary.clean else 1
@@ -193,7 +169,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fuzz", help="run the theorem oracles over a corpus")
     p.add_argument("--max-order", type=int, default=0)
     p.add_argument("--corpus", default=None, help="file of graph6 lines")
-    p.add_argument("--sabotage", action="store_true", help=argparse.SUPPRESS)
     p.set_defaults(func=_cmd_fuzz)
 
     return parser

@@ -27,7 +27,7 @@ def circulant(n: int, s: int) -> Graph:
         for off in range(1, s + 1):
             rows[i] |= 1 << ((i + off) % n)
             rows[i] |= 1 << ((i - off) % n)
-    return Graph(n, rows)
+    return Graph._of(n, tuple(rows))
 
 
 def regular_small(k: int, n: int) -> Graph:
@@ -110,6 +110,7 @@ def lower_bound_witness(n: int, m: int) -> Graph:
     degree = m // 2 - 1
     order = n + m // 2 - t - 1
     # the construction silently needs this parity; fail loudly if it ever breaks
-    assert degree % 2 == 0 or order % 2 == 0, (n, m)
+    if degree % 2 == 1 and order % 2 == 1:
+        raise AssertionError(f"odd degree {degree} on odd order {order} at (n={n}, m={m})")
     h = regular_bounded_components(degree, order)
     return h.complement().disjoint_union(complete(n))

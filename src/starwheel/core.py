@@ -44,11 +44,22 @@ class Graph:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "rows", rows)
 
+    @classmethod
+    def _of(cls, n: int, rows: tuple) -> "Graph":
+        """Trusted constructor for rows the library built itself: a tuple of
+        n loop-free, symmetric rows inside [0, n). Nothing is checked."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "n", n)
+        object.__setattr__(g, "rows", rows)
+        return g
+
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":
+        if n < 0:
+            raise ValueError("vertex count must be >= 0")
         rows = [0] * n
         for u, v in edges:
             if u == v:
@@ -57,7 +68,7 @@ class Graph:
                 raise ValueError(f"edge ({u},{v}) out of range for n={n}")
             rows[u] |= 1 << v
             rows[v] |= 1 << u
-        return cls(n, rows)
+        return cls._of(n, tuple(rows))
 
     # -- basic queries ----------------------------------------------------
 
@@ -83,12 +94,11 @@ class Graph:
 
     def complement(self) -> "Graph":
         full = (1 << self.n) - 1
-        return Graph(self.n, tuple((full ^ row) & ~(1 << u) for u, row in enumerate(self.rows)))
+        return Graph._of(self.n, tuple((full ^ row) & ~(1 << u) for u, row in enumerate(self.rows)))
 
     def disjoint_union(self, other: "Graph") -> "Graph":
         shift = self.n
-        rows = list(self.rows) + [row << shift for row in other.rows]
-        return Graph(self.n + other.n, rows)
+        return Graph._of(self.n + other.n, self.rows + tuple(row << shift for row in other.rows))
 
     def induced_subgraph(self, vertices) -> "Graph":
         """Subgraph induced on ``vertices``, relabeled by increasing original index."""
@@ -101,7 +111,7 @@ class Graph:
             for w in _bits(self.rows[v]):
                 if w in index:
                     rows[index[v]] |= 1 << index[w]
-        return Graph(len(vs), rows)
+        return Graph._of(len(vs), tuple(rows))
 
     def relabel(self, perm) -> "Graph":
         """Image under the permutation ``perm`` (vertex v becomes perm[v])."""
@@ -130,14 +140,14 @@ class Graph:
 def empty_graph(n: int) -> Graph:
     if n < 0:
         raise ValueError("n must be >= 0")
-    return Graph(n, (0,) * n)
+    return Graph._of(n, (0,) * n)
 
 
 def complete(n: int) -> Graph:
     if n < 0:
         raise ValueError("n must be >= 0")
     full = (1 << n) - 1
-    return Graph(n, tuple(full ^ (1 << v) for v in range(n)))
+    return Graph._of(n, tuple(full ^ (1 << v) for v in range(n)))
 
 
 def path(n: int) -> Graph:

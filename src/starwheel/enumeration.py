@@ -101,9 +101,14 @@ def is_isomorphic(a: Graph, b: Graph) -> bool:
     return canonical_form(a) == canonical_form(b)
 
 
-def _extensions(rows, k: int, order: int, dmax: int, prune):
-    """Canonical children of a canonical k-vertex prefix, descending by
-    neighborhood bitmask; recurses depth-first up to ``order`` vertices."""
+def _extensions(g: Graph, order: int, dmax: int, prune):
+    """The canonical prefix g itself once it has ``order`` vertices; else
+    its canonical, unpruned children, descending by neighborhood bitmask,
+    each extended depth-first."""
+    k, rows = g.n, g.rows
+    if k == order:
+        yield g
+        return
     saturated = 0
     for v in range(k):
         if rows[v].bit_count() >= dmax:
@@ -122,40 +127,25 @@ def _extensions(rows, k: int, order: int, dmax: int, prune):
         child = tuple(child)
         if not is_canonical(child, k + 1):
             continue
-        g = Graph(k + 1, child)
-        if prune is not None and prune(g):
-            continue
-        if k + 1 == order:
-            yield g
-        else:
-            yield from _extensions(child, k + 1, order, dmax, prune)
+        c = Graph._of(k + 1, child)
+        if prune is None or not prune(c):
+            yield from _extensions(c, order, dmax, prune)
 
 
-def enumerate_degree_bounded(order: int, dmax: int, prune=None, progress=None, progress_interval=10000):
+def enumerate_degree_bounded(order: int, dmax: int, prune=None):
     """One representative per isomorphism class of graphs with the given
     order and maximum degree <= dmax, in a fixed deterministic order.
 
-    ``prune``, when given, is called with each intermediate (and final)
-    canonical graph; returning True discards that graph and its entire
-    extension subtree. ``progress`` is called with the running count every
-    ``progress_interval`` emitted graphs.
+    ``prune``, when given, is called with every canonical graph the search
+    builds, from the root on min(order, 1) vertices (so also the order-0
+    graph) up to the target order; returning True discards that graph and
+    its entire extension subtree.
     """
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
     if dmax < 0:
         raise ValueError(f"degree bound must be >= 0, got {dmax}")
-    if order == 0:
-        yield Graph(0, ())
-        return
-    root = Graph(1, (0,))
-    if prune is not None and prune(root):
-        return
-    if order == 1:
-        yield root
-        return
-    count = 0
-    for g in _extensions((0,), 1, order, dmax, prune):
-        yield g
-        count += 1
-        if progress is not None and count % progress_interval == 0:
-            progress(count)
+    k = min(order, 1)
+    root = Graph._of(k, (0,) * k)
+    if prune is None or not prune(root):
+        yield from _extensions(root, order, dmax, prune)

@@ -72,7 +72,7 @@ def from_graph6(data) -> Graph:
             index += 1
     if any(bits[index:]):
         raise Graph6Error("nonzero padding bits")
-    return Graph(n, rows)
+    return Graph._of(n, tuple(rows))
 
 
 def to_graph6_str(g: Graph) -> str:

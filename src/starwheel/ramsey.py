@@ -22,7 +22,6 @@ import multiprocessing
 import time
 from dataclasses import dataclass
 
-from ._cycles import SearchBudgetExceeded
 from .construct import lower_bound_witness, theta
 from .core import Graph
 from .detect import StarWitness, WheelWitness, contains_star, contains_wheel
@@ -66,7 +65,7 @@ def formula(n: int, m: int) -> Bound:
 
     Exact for every (n, m) except even m with 10 <= m <= n+1, where only
     the lower bound 2n + m/2 - theta is known. Overlapping theorem cases
-    are asserted to agree at runtime.
+    are checked to agree at runtime.
     """
     if n < 2:
         raise ValueError(f"n >= 2 required, got n={n}")
@@ -87,15 +86,14 @@ def formula(n: int, m: int) -> Bound:
 
     if cases:
         values = set(cases.values())
-        assert len(values) == 1, f"theorem cases disagree at (n={n}, m={m}): {cases}"
-        value = values.pop()
-        if m % 2 == 0 and 6 <= m <= 2 * n - 2:
-            assert value >= 2 * n + m // 2 - theta(n, m)
+        if len(values) != 1:
+            raise AssertionError(f"theorem cases disagree at (n={n}, m={m}): {cases}")
         source = next(s for s in _SOURCE_PRECEDENCE if s in cases)
-        return Bound(value, EXACT, source)
+        return Bound(values.pop(), EXACT, source)
 
     # residual gap: even m >= 10 with m <= n+1; the ThLower hypothesis holds
-    assert m % 2 == 0 and m >= 10 and m <= n + 1, (n, m)
+    if not (m % 2 == 0 and 10 <= m <= n + 1):
+        raise AssertionError(f"no formula case covers (n={n}, m={m})")
     return Bound(2 * n + m // 2 - theta(n, m), LOWER_ONLY, "ThLower")
 
 
@@ -163,22 +161,16 @@ def _wheel_prune(n: int, m: int, order: int, node_budget):
 
 
 def _scan_task(args):
-    """Scan one frontier subtree for a good coloring (worker-safe)."""
-    root_rows, level, order, n, m, node_budget = args
-    prune = _wheel_prune(n, m, order, node_budget)
+    """Scan one frontier subtree for a good coloring (worker-safe); a
+    SearchBudgetExceeded propagates to the caller."""
+    root_rows, order, n, m, node_budget = args
+    root = Graph._of(len(root_rows), root_rows)
     tested = 0
-    try:
-        if level == order:
-            graphs = [Graph(level, root_rows)]
-        else:
-            graphs = _extensions(root_rows, level, order, n - 1, prune)
-        for g in graphs:
-            tested += 1
-            if contains_wheel(g.complement(), m, node_budget) is None:
-                return (tested, g.rows, None)
-        return (tested, None, None)
-    except SearchBudgetExceeded as exc:
-        return (tested, None, str(exc))
+    for g in _extensions(root, order, n - 1, _wheel_prune(n, m, order, node_budget)):
+        tested += 1
+        if contains_wheel(g.complement(), m, node_budget) is None:
+            return tested, g.rows
+    return tested, None
 
 
 def arrows(order: int, n: int, m: int, workers: int = 1, node_budget=None) -> SearchReport:
@@ -199,37 +191,27 @@ def arrows(order: int, n: int, m: int, workers: int = 1, node_budget=None) -> Se
     started = time.perf_counter()
 
     prune = _wheel_prune(n, m, order, node_budget)
-    if order <= 1:
-        level = order
-        roots = [(0,) * order]
-    else:
-        level = min(6, order - 1)
-        roots = [g.rows for g in enumerate_degree_bounded(level, n - 1, prune=prune)]
-    tasks = [(rows, level, order, n, m, node_budget) for rows in roots]
+    roots = enumerate_degree_bounded(order if order <= 1 else min(6, order - 1), n - 1, prune=prune)
+    tasks = [(g.rows, order, n, m, node_budget) for g in roots]
 
     total = 0
     witness_rows = None
-    error = None
     if workers <= 1 or len(tasks) <= 1:
         runner = contextlib.nullcontext()
     else:
         runner = multiprocessing.get_context("fork").Pool(min(workers, len(tasks)))
     with runner as pool:
+        # both re-raise a task's SearchBudgetExceeded, in task order
         results = map(_scan_task, tasks) if pool is None else pool.imap(_scan_task, tasks)
-        for tested, rows, err in results:
+        for tested, rows in results:
             total += tested
-            if err is not None:
-                error = err
-                break
             if rows is not None:
                 witness_rows = rows
                 break
-    if error is not None:
-        raise SearchBudgetExceeded(error)
 
     elapsed = (time.perf_counter() - started) * 1000.0
     if witness_rows is not None:
-        return SearchReport(n, m, order, "good-graph-found", total, elapsed, Graph(order, witness_rows))
+        return SearchReport(n, m, order, "good-graph-found", total, elapsed, Graph._of(order, witness_rows))
     return SearchReport(n, m, order, "arrows-holds", total, elapsed)
 
 

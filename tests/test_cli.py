@@ -6,6 +6,7 @@ import pytest
 
 import starwheel as sw
 from starwheel.cli import main
+from starwheel.theorems import CONCLUSION_HOLDS, COUNTEREXAMPLE, DEFAULT_CHECKS, Verdict, check_dirac
 
 
 def run_cli(argv, stdin_text="", monkeypatch=None, capsys=None):
@@ -192,8 +193,16 @@ class TestFuzz:
         code, out, _ = run_cli(["fuzz", "--corpus", str(corpus)], capsys=capsys)
         assert code == 0 and out.splitlines()[0] == "graphs=3"
 
-    def test_sabotaged_check_fails_the_run(self, capsys):
-        code, out, _ = run_cli(["fuzz", "--max-order", "4", "--sabotage"], capsys=capsys)
+    def test_sabotaged_check_fails_the_run(self, monkeypatch, capsys):
+        def overclaiming_dirac(g, node_budget):
+            # claims one more than Dirac's bound min(2*delta, nu) on the longest cycle
+            verdict = check_dirac(g, node_budget)
+            if verdict.status == CONCLUSION_HOLDS and verdict.witness <= min(2 * sw.min_degree(g), g.n):
+                verdict = Verdict(COUNTEREXAMPLE, witness=verdict.witness, detail="overclaimed bound")
+            yield verdict
+
+        monkeypatch.setattr("starwheel.cli.DEFAULT_CHECKS", dict(DEFAULT_CHECKS, dirac=overclaiming_dirac))
+        code, out, _ = run_cli(["fuzz", "--max-order", "4"], capsys=capsys)
         assert code == 1
         assert any(line.startswith("counterexample check=dirac") for line in out.splitlines())
 

@@ -1,8 +1,18 @@
+import ast
+import subprocess
+import sys
+from collections import Counter
+from pathlib import Path
+
 import pytest
 
+import starwheel
+from _oracles import naive_contains_wheel
+from starwheel import ramsey
 from starwheel.construct import lower_bound_witness, theta
-from starwheel.core import Graph, complete, empty_graph
-from starwheel.detect import StarWitness
+from starwheel.core import Graph, complete, empty_graph, max_degree
+from starwheel.detect import SearchBudgetExceeded, StarWitness
+from starwheel.enumeration import enumerate_degree_bounded
 from starwheel.ramsey import (
     EXACT,
     LOWER_ONLY,
@@ -111,19 +121,6 @@ class TestArrows:
         # the first good coloring found is the constructed witness class
         assert is_isomorphic(report.witness, lower_bound_witness(4, 6))
 
-    def test_enumeration_progress_callback(self):
-        from starwheel.ramsey import enumerate_degree_bounded
-
-        ticks = []
-        count = sum(
-            1
-            for _ in enumerate_degree_bounded(
-                6, 5, progress=ticks.append, progress_interval=50
-            )
-        )
-        assert count == 156
-        assert ticks == [50, 100, 150]
-
     def test_monotone_in_order(self):
         for n, m, r in [(2, 4, 5), (2, 5, 7), (3, 4, 9)]:
             seen_holds = False
@@ -143,6 +140,74 @@ class TestArrows:
         a = arrows(9, 3, 4, workers=1)
         b = arrows(9, 3, 4, workers=4)
         assert (a.outcome, a.enumerated, a.witness) == (b.outcome, b.enumerated, b.witness)
+
+    @pytest.mark.parametrize(
+        "order,n,m,survivors",
+        [
+            (11, 4, 6, {2: 2, 3: 4, 4: 11, 5: 23, 6: 62, 7: 102, 8: 104, 9: 20, 10: 3, 11: 3}),
+            (9, 4, 4, {2: 2, 3: 4, 4: 11, 5: 20, 6: 44, 7: 45, 8: 27, 9: 68}),
+            (11, 3, 8, {2: 2, 3: 4, 4: 7, 5: 11, 6: 19, 7: 29, 8: 46, 9: 24, 10: 5, 11: 5}),
+            (13, 4, 7, {2: 2, 3: 4, 4: 11, 5: 23, 6: 62, 7: 150, 8: 279, 9: 182, 10: 34, 11: 1, 12: 1, 13: 1}),
+        ],
+    )
+    def test_survivors_per_level_pinned(self, monkeypatch, order, n, m, survivors):
+        # canonical graphs the wheel prune keeps, per level; any change to
+        # pruning or canonicity that drops or adds a subtree moves these
+        kept = Counter()
+        make_prune = ramsey._wheel_prune
+
+        def counting_prune(*args):
+            prune = make_prune(*args)
+
+            def counted(g):
+                if prune(g):
+                    return True
+                if g.n >= 2:
+                    kept[g.n] += 1
+                return False
+
+            return counted
+
+        monkeypatch.setattr(ramsey, "_wheel_prune", counting_prune)
+        arrows(order, n, m)
+        assert dict(kept) == survivors
+
+    @pytest.mark.parametrize("n,m", [(2, 4), (2, 5), (3, 4), (3, 5), (3, 6), (4, 4)])
+    def test_agrees_with_naive_oracle(self, corpus_by_order, n, m):
+        for order, graphs in corpus_by_order.items():
+            good = [
+                g for g in graphs
+                if max_degree(g) <= n - 1 and not naive_contains_wheel(g.complement(), m)
+            ]
+            report = arrows(order, n, m)
+            assert report.holds == (not good), (order, n, m)
+            if good:
+                # pruned subtrees hold no good graph, so the scan meets the
+                # first good class of the corpus first
+                assert report.witness == good[0], (order, n, m)
+                assert max_degree(report.witness) <= n - 1
+                assert not naive_contains_wheel(report.witness.complement(), m)
+
+    def test_budget_exhaustion_propagates(self):
+        # the level-6 roots survive this budget; a scan task runs out
+        roots = list(enumerate_degree_bounded(6, 3, prune=ramsey._wheel_prune(4, 6, 11, 50)))
+        assert roots
+        with pytest.raises(SearchBudgetExceeded):
+            arrows(11, 4, 6, node_budget=50)
+
+    def test_budget_exhaustion_propagates_from_pool(self):
+        # in a subprocess: the fork pool can hang on terminate
+        script = (
+            "from starwheel.detect import SearchBudgetExceeded\n"
+            "from starwheel.ramsey import arrows\n"
+            "try:\n"
+            "    arrows(11, 4, 6, workers=2, node_budget=50)\n"
+            "except SearchBudgetExceeded:\n"
+            "    print('exhausted')\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == b"exhausted\n"
 
     def test_preconditions(self):
         with pytest.raises(ValueError):
@@ -184,3 +249,13 @@ class TestComputeRamsey:
         timed = result.reports[0].to_line(timing=True)
         assert timed.split()[:5] == ["2", "4", "4", "good-graph-found", "1"]
         assert timed.split()[5] != "-"
+
+
+def test_no_assert_statements_in_the_library():
+    # result guards must survive python -O, which strips assert statements
+    offenders = []
+    for path in sorted(Path(starwheel.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Assert):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
