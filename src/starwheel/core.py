@@ -115,12 +115,14 @@ class Graph:
 
     def relabel(self, perm) -> "Graph":
         """Image under the permutation ``perm`` (vertex v becomes perm[v])."""
+        if sorted(perm) != list(range(self.n)):
+            raise ValueError("perm must be a permutation of range(n)")
         rows = [0] * self.n
         for u in range(self.n):
             pu = perm[u]
             for v in _bits(self.rows[u]):
                 rows[pu] |= 1 << perm[v]
-        return Graph(self.n, rows)
+        return Graph._of(self.n, tuple(rows))
 
     # -- value semantics ---------------------------------------------------
 

@@ -100,19 +100,20 @@ def contains_wheel(g: Graph, m: int, node_budget=None):
 
     Hubs are tried in increasing index (degree >= m is a mandatory
     pre-filter); the rim is the first cycle found by the deterministic
-    search on the hub's neighborhood, relabeled back to g's indices.
+    search on the hub's neighborhood, in g's own labels: the search gets
+    g's rows restricted to the neighborhood, every other vertex isolated.
     """
     if m < 3:
         raise ValueError(f"wheel rim length must be >= 3, got {m}")
     budget = Budget(node_budget)
     for hub in range(g.n):
-        if g.rows[hub].bit_count() < m:
+        nbrs = g.rows[hub]
+        if nbrs.bit_count() < m:
             continue
-        nbrs = g.neighbors(hub)
-        sub = g.induced_subgraph(nbrs)
-        found = find_cycle_of_length(sub.rows, sub.n, m, budget)
+        within = tuple(row & nbrs if (nbrs >> v) & 1 else 0 for v, row in enumerate(g.rows))
+        found = find_cycle_of_length(within, g.n, m, budget)
         if found is not None:
-            return WheelWitness(hub, tuple(nbrs[i] for i in found))
+            return WheelWitness(hub, found)
     return None
 
 

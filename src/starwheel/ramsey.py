@@ -17,9 +17,8 @@ reports reproducible byte for byte and independent of the worker count.
 
 from __future__ import annotations
 
-import contextlib
-import multiprocessing
 import time
+from concurrent import futures
 from dataclasses import dataclass
 
 from .construct import lower_bound_witness, theta
@@ -196,18 +195,20 @@ def arrows(order: int, n: int, m: int, workers: int = 1, node_budget=None) -> Se
 
     total = 0
     witness_rows = None
-    if workers <= 1 or len(tasks) <= 1:
-        runner = contextlib.nullcontext()
-    else:
-        runner = multiprocessing.get_context("fork").Pool(min(workers, len(tasks)))
-    with runner as pool:
+    pool = None if workers <= 1 or len(tasks) <= 1 else futures.ProcessPoolExecutor(min(workers, len(tasks)))
+    try:
         # both re-raise a task's SearchBudgetExceeded, in task order
-        results = map(_scan_task, tasks) if pool is None else pool.imap(_scan_task, tasks)
+        results = map(_scan_task, tasks) if pool is None else pool.map(_scan_task, tasks)
         for tested, rows in results:
             total += tested
             if rows is not None:
                 witness_rows = rows
                 break
+    finally:
+        if pool is not None:
+            # drop queued subtrees and let running ones finish: never kill a
+            # worker, as one killed while holding a queue lock hangs the pool
+            pool.shutdown(cancel_futures=True)
 
     elapsed = (time.perf_counter() - started) * 1000.0
     if witness_rows is not None:

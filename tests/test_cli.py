@@ -70,6 +70,11 @@ class TestCertify:
         code, out, _ = run_cli(["certify", "3", "6"], line + "\n", monkeypatch, capsys)
         assert code == 1 and out.startswith("bad wheel hub=")
 
+    def test_bad_wheel_witness_is_pinned(self, monkeypatch, capsys):
+        # the (6, 8) lower-bound witness with the pair (2, 6) toggled
+        code, out, _ = run_cli(["certify", "6", "8"], "M?~uf_??G@_F?N?N_\n", monkeypatch, capsys)
+        assert code == 1 and out == "bad wheel hub=2 rim=0,8,1,9,3,10,6,11\n"
+
     def test_garbage(self, monkeypatch, capsys):
         code, _, err = run_cli(["certify", "4", "6"], "garbage\n", monkeypatch, capsys)
         assert code == 2 and "error:" in err

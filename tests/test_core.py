@@ -116,6 +116,22 @@ class TestInducedSubgraph:
             complete(3).induced_subgraph([0, 3])
 
 
+class TestRelabel:
+    @pytest.mark.parametrize(
+        "g,perm",
+        [
+            (Graph.from_edges(4, [(0, 1)]), [0, 1, 1, 1]),
+            (empty_graph(3), [5, 5, 5]),
+            (cycle(4), [1, 0, 3, 2, 9]),
+            (empty_graph(2), [-1, 0]),
+            (path(3), [0, 1]),
+        ],
+    )
+    def test_rejects_non_permutations(self, g, perm):
+        with pytest.raises(ValueError):
+            g.relabel(perm)
+
+
 class TestConnectivity:
     def test_cut_vertex_of_path(self):
         assert cut_vertices(path(3)) == frozenset({1})

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from _oracles import naive_contains_wheel, naive_cycle_spectrum, random_graph, random_permutation
+from starwheel.construct import lower_bound_witness
 from starwheel.core import Graph, complete, cycle, max_degree, path, star, wheel
 from starwheel.detect import (
     SearchBudgetExceeded,
@@ -235,6 +236,37 @@ class TestDeterministicWitnesses:
         assert found.hub == 6 and found.rim == (0, 1, 2, 3, 4, 5)
         found = contains_wheel(complete(5), 3)
         assert found.hub == 0 and found.rim == (1, 2, 3)
+
+    @pytest.mark.parametrize(
+        "n,m,pair,hub,rim,nodes",
+        [
+            (5, 6, (0, 3), 0, (1, 7, 2, 8, 3, 9), 10),
+            (6, 8, (2, 6), 2, (0, 8, 1, 9, 3, 10, 6, 11), 26),
+            (7, 10, (0, 6), 0, (1, 11, 2, 12, 3, 13, 4, 14, 6, 15), 66),
+            (7, 8, (5, 6), 5, (1, 10, 3, 11, 2, 12, 6, 13), 14),
+            (8, 12, (5, 9), 5, (0, 12, 1, 13, 2, 14, 3, 15, 4, 16, 9, 17), 162),
+            (9, 14, (6, 10), 6, (0, 15, 1, 16, 2, 17, 3, 18, 4, 19, 5, 20, 10, 21), 386),
+            (6, 8, (0, 12), None, None, 72),
+            (7, 10, (8, 15), None, None, 420),
+            (8, 10, (3, 17), None, None, 620),
+        ],
+    )
+    def test_flipped_witness_wheels_and_their_work(self, n, m, pair, hub, rim, nodes):
+        # one pair of the lower-bound witness toggled; the wheel search in its
+        # complement must return exactly this wheel and draw exactly `nodes` nodes
+        rows = list(lower_bound_witness(n, m).rows)
+        u, v = pair
+        rows[u] ^= 1 << v
+        rows[v] ^= 1 << u
+        h = Graph(len(rows), rows).complement()
+        found = contains_wheel(h, m, node_budget=nodes)
+        if hub is None:
+            assert found is None
+        else:
+            assert (found.hub, found.rim) == (hub, rim)
+            assert found.validate(h, m)
+        with pytest.raises(SearchBudgetExceeded):
+            contains_wheel(h, m, node_budget=nodes - 1)
 
     def test_budgeted_runs_agree_with_oracle_when_they_finish(self):
         rng = random.Random(79)

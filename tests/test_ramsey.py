@@ -196,7 +196,7 @@ class TestArrows:
             arrows(11, 4, 6, node_budget=50)
 
     def test_budget_exhaustion_propagates_from_pool(self):
-        # in a subprocess: the fork pool can hang on terminate
+        # in a subprocess, so that a pool that fails to shut down fails the timeout
         script = (
             "from starwheel.detect import SearchBudgetExceeded\n"
             "from starwheel.ramsey import arrows\n"
@@ -208,6 +208,18 @@ class TestArrows:
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == b"exhausted\n"
+
+    def test_pool_early_stop_does_not_hang(self):
+        # a witness in the first subtree stops the pooled scan at once; each
+        # stop shuts the pool down, which must never block
+        script = (
+            "from starwheel.ramsey import arrows\n"
+            "lines = {arrows(12, 4, 5, workers=2).to_line() for _ in range(100)}\n"
+            "print(*lines)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == b"4 5 12 good-graph-found 1 -\n"
 
     def test_preconditions(self):
         with pytest.raises(ValueError):
