@@ -4,9 +4,10 @@ The search walks a twin-compressed quotient of the input graph: vertices
 with identical open neighborhoods (necessarily nonadjacent) or identical
 closed neighborhoods (necessarily adjacent) are interchangeable on any
 cycle, so they collapse into one class carried with a multiplicity budget.
-Between two classes adjacency is all-or-nothing, which makes the quotient
-walk equivalent to the vertex search while collapsing the huge symmetric
-branching that dense join-like graphs otherwise produce.
+Isolated vertices lie on no cycle and form no class. Between two classes
+adjacency is all-or-nothing, which makes the quotient walk equivalent to
+the vertex search while collapsing the huge symmetric branching that dense
+join-like graphs otherwise produce.
 
 Within the quotient the search is plain backtracking: anchor at the
 smallest usable class, extend by ascending class index, prune on the BFS
@@ -35,30 +36,30 @@ class Budget:
         self.remaining = DEFAULT_NODE_BUDGET if nodes is None else nodes
 
 
-def twin_classes(rows, n: int) -> list:
-    """Partition vertices into twin classes (each a sorted vertex list).
-
-    Vertices with equal rows are false twins (an independent class);
-    remaining vertices with equal closed rows are true twins (a clique
-    class). Mixed classes cannot arise. Classes are ordered by smallest
-    member.
-    """
-    by_row = {}
+def twin_reps(rows, n: int) -> list:
+    """For each vertex v, the smallest u whose row agrees with v's outside
+    {u, v}: equal open rows (false twins) or closed rows (true twins). No v
+    has both a false twin u and a true twin q (q in N(v) = N(u) puts u in
+    N[q] = N[v]), so this is a partition and only the first vertex of an
+    open row needs the closed-row lookup."""
+    open_rows, closed_rows = {}, {}
+    reps = []
     for v in range(n):
-        by_row.setdefault(rows[v], []).append(v)
-    classes = []
-    leftover = []
-    for members in by_row.values():
-        if len(members) >= 2:
-            classes.append(members)
-        else:
-            leftover.append(members[0])
-    by_closed = {}
-    for v in leftover:
-        by_closed.setdefault(rows[v] | (1 << v), []).append(v)
-    classes.extend(by_closed.values())
-    classes.sort(key=lambda ms: ms[0])
-    return classes
+        rep = open_rows.setdefault(rows[v], v)
+        if rep == v:
+            rep = closed_rows.setdefault(rows[v] | (1 << v), v)
+        reps.append(rep)
+    return reps
+
+
+def twin_classes(rows, n: int) -> list:
+    """Twin classes of the non-isolated vertices, each a sorted vertex list,
+    ordered by smallest member."""
+    classes = {}
+    for v, rep in enumerate(twin_reps(rows, n)):
+        if rows[v]:
+            classes.setdefault(rep, []).append(v)
+    return list(classes.values())
 
 
 def _quotient(rows, classes):
@@ -167,11 +168,6 @@ def find_cycle_of_length(rows, n: int, length: int, budget: Budget | None = None
             return False
 
         if dfs(anchor, 1, total):
-            used = {}
-            cycle = []
-            for c in path:
-                i = used.get(c, 0)
-                cycle.append(classes[c][i])
-                used[c] = i + 1
-            return tuple(cycle)
+            members = [iter(ms) for ms in classes]
+            return tuple(next(members[c]) for c in path)
     return None

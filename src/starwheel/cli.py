@@ -2,8 +2,9 @@
 exhaustive search, structural analysis, and theorem fuzzing.
 
 Exit codes: 0 success/verified, 1 property-failed/undecided, 2 usage or
-parse error. stdout is byte-stable for fixed inputs and flags (timings go
-to stderr); graph interchange is graph6, one graph per line.
+parse error, 130 interrupted (Ctrl-C). stdout is byte-stable for fixed
+inputs and flags (timings go to stderr); graph interchange is graph6, one
+graph per line.
 """
 
 from __future__ import annotations
@@ -182,6 +183,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

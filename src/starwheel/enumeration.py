@@ -14,13 +14,15 @@ appears exactly once, with no cross-level bookkeeping.
 The canonicity test is backtracking over orderings that tie the target
 word-for-word, aborting as soon as any ordering beats it; interchangeable
 vertices (equal rows ignoring their mutual bits, so swapping them is an
-automorphism) are pruned to one representative per node. The canonical
+automorphism) are pruned to one representative per node, using the twin
+partition ``_cycles.twin_reps`` that the cycle engine shares. The canonical
 form reuses this test: it relabels by the prefix that beats the current
 labeling (unplaced vertices after it, in index order) until none does.
 """
 
 from __future__ import annotations
 
+from ._cycles import twin_reps
 from .core import Graph
 
 __all__ = ["is_canonical", "canonical_form", "is_isomorphic", "enumerate_degree_bounded"]
@@ -33,11 +35,13 @@ def _improvement(rows, n: int):
     if n <= 1:
         return None
     pos = [-1] * n
+    rep = twin_reps(rows, n)
 
     def attempt(depth, placed_mask, unplaced):
         # True = no ordering in this subtree beats the target labeling
         target = rows[depth] & ((1 << depth) - 1)
         ties = []
+        seen = 0
         m = unplaced
         while m:
             low = m & -m
@@ -52,20 +56,14 @@ def _improvement(rows, n: int):
             if w > target:
                 pos[u] = depth
                 return False
-            if w == target:
+            if w == target and not (seen >> rep[u]) & 1:
+                # unplaced twins have equal words: one per class suffices
+                seen |= 1 << rep[u]
                 ties.append(u)
         if depth == n - 1:
             return True
-        for i, u in enumerate(ties):
+        for u in ties:
             bu = 1 << u
-            skip = False
-            for prev in ties[:i]:
-                both = bu | (1 << prev)
-                if (rows[u] | both) == (rows[prev] | both):
-                    skip = True
-                    break
-            if skip:
-                continue
             pos[u] = depth
             if not attempt(depth + 1, placed_mask | bu, unplaced ^ bu):
                 return False

@@ -243,6 +243,26 @@ class TestDeterminism:
         assert runs["1"] == runs["8"]
 
 
+class TestInterrupt:
+    def test_ctrl_c_exits_130_without_traceback(self):
+        import signal
+        import time
+
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "starwheel.cli", "search", "5", "6", "--threads", "1"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        try:
+            time.sleep(2)
+            proc.send_signal(signal.SIGINT)
+            _, err = proc.communicate(timeout=60)
+        finally:
+            proc.kill()
+        assert proc.returncode == 130
+        assert b"Traceback" not in err and b"interrupted" in err
+
+
 class TestParameterValidation:
     def test_certify_rejects_bad_parameters_even_on_empty_input(self, monkeypatch, capsys):
         code, _, err = run_cli(["certify", "0", "5"], "", monkeypatch, capsys)

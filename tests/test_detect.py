@@ -3,8 +3,9 @@ import random
 import pytest
 
 from _oracles import naive_contains_wheel, naive_cycle_spectrum, random_graph, random_permutation
+from starwheel._cycles import Budget, find_cycle_of_length, twin_classes, twin_reps
 from starwheel.construct import lower_bound_witness
-from starwheel.core import Graph, complete, cycle, max_degree, path, star, wheel
+from starwheel.core import Graph, complete, cycle, empty_graph, max_degree, path, star, wheel
 from starwheel.detect import (
     SearchBudgetExceeded,
     contains_star,
@@ -68,6 +69,28 @@ class TestCycleSearch:
                 assert all(
                     g.has_edge(found[i], found[(i + 1) % length]) for i in range(length)
                 )
+
+    def test_isolated_vertices_change_no_search(self):
+        # isolated vertices form no twin class, so appending them leaves the
+        # cycle and the node count as they were, and prepending only shifts labels
+        hoods = []
+        for n, m, (u, v) in [(5, 6, (0, 3)), (8, 10, (3, 17))]:
+            rows = list(lower_bound_witness(n, m).rows)
+            rows[u] ^= 1 << v
+            rows[v] ^= 1 << u
+            h = Graph(len(rows), rows).complement()
+            hub = next(x for x in range(h.n) if h.degree(x) >= m)
+            hoods.append((h.induced_subgraph(h.neighbors(hub)), m))
+        for g, length in [(K33, 6), (wheel(6), 6), (wheel(6), 5)] + hoods:
+            base, extra = Budget(), Budget()
+            found = find_cycle_of_length(g.rows, g.n, length, base)
+            padded = g.disjoint_union(empty_graph(3))
+            assert find_cycle_of_length(padded.rows, padded.n, length, extra) == found
+            assert extra.remaining == base.remaining
+            shifted, extra = empty_graph(3).disjoint_union(g), Budget()
+            moved = find_cycle_of_length(shifted.rows, shifted.n, length, extra)
+            assert moved == (None if found is None else tuple(x + 3 for x in found))
+            assert extra.remaining == base.remaining
 
     def test_budget_exhaustion_is_an_error(self):
         # 4x4 grid: bipartite and twin-free, so proving an odd length absent
@@ -219,6 +242,42 @@ class TestTwinHeavyGraphs:
             g = join(complete(j), Graph(8, (0,) * 8))
             expected = set(range(3, 2 * j + 1))
             assert cycle_spectrum(g) == expected, (j, cycle_spectrum(g))
+
+
+class TestTwinPartition:
+    """``twin_reps`` against the definition: u, v are twins when their rows
+    agree outside {u, v}."""
+
+    def graphs(self):
+        rng = random.Random(2024)
+        for order in range(13):
+            for _ in range(30):
+                isolated = rng.randrange(min(order, 2) + 1)
+                yield random_graph(rng, order - isolated).disjoint_union(empty_graph(isolated))
+        yield from (complete(k) for k in range(6))
+        yield from (empty_graph(k) for k in range(4))
+        yield K33
+        for n, m in [(4, 6), (5, 8), (6, 8), (7, 12)]:
+            yield lower_bound_witness(n, m).complement()
+
+    def test_reps_are_smallest_twins(self):
+        for g in self.graphs():
+            rows, n = g.rows, g.n
+            expected = [
+                min(u for u in range(n) if rows[u] & ~(1 << v) == rows[v] & ~(1 << u))
+                for v in range(n)
+            ]
+            assert twin_reps(rows, n) == expected, g
+
+    def test_classes_group_non_isolated_vertices_by_rep(self):
+        for g in self.graphs():
+            reps = twin_reps(g.rows, g.n)
+            groups = {}
+            for v in range(g.n):
+                if g.rows[v]:
+                    groups.setdefault(reps[v], []).append(v)
+            expected = sorted(groups.values(), key=lambda ms: ms[0])
+            assert twin_classes(g.rows, g.n) == expected, g
 
 
 class TestDeterministicWitnesses:
