@@ -14,6 +14,11 @@ smallest usable class, extend by ascending class index, prune on the BFS
 distance back to the anchor, on exhausted budgets, and on a static
 capacity bound (an independent class can occupy at most floor(L/2)
 positions of a cycle of length L).
+
+``find_cycle_through`` answers the narrower question the arrows scan asks
+of each new vertex, a cycle through one given vertex inside a vertex
+mask, by a plain walk on bitmasks of the host rows: no quotient, no
+relabelling. ``find_cycle_within`` anchors it at each vertex in turn.
 """
 
 from __future__ import annotations
@@ -170,4 +175,79 @@ def find_cycle_of_length(rows, n: int, length: int, budget: Budget | None = None
         if dfs(anchor, 1, total):
             members = [iter(ms) for ms in classes]
             return tuple(next(members[c]) for c in path)
+    return None
+
+
+def find_cycle_through(rows, v: int, allowed: int, length: int, budget: Budget):
+    """First cycle on exactly ``length`` vertices through v inside the
+    vertex mask ``allowed``, or None.
+
+    ``allowed`` is first peeled to its 2-core, which holds every cycle; the
+    walk from v then extends by ascending vertex, only to vertices whose
+    BFS distance back to v fits the steps left, and closes each cycle in
+    one direction only (second vertex below the last).
+    """
+    while True:
+        core = allowed
+        m = allowed
+        while m:
+            low = m & -m
+            m ^= low
+            if (rows[low.bit_length() - 1] & allowed).bit_count() < 2:
+                core ^= low
+        if core == allowed:
+            break
+        allowed = core
+    if not (allowed >> v) & 1:
+        return None
+    # near[d]: vertices within distance d of v, for d = 0 .. length - 1
+    reach = frontier = 1 << v
+    near = [reach]
+    while len(near) < length:
+        layer = 0
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            layer |= rows[low.bit_length() - 1]
+        frontier = layer & allowed & ~reach
+        reach |= frontier
+        near.append(reach)
+    if reach.bit_count() < length:
+        return None
+    ends = near[1] & ~near[0]
+    path = [v]
+
+    def dfs(c, used, t):
+        # t vertices on the path, c the last; a vertex added now must be
+        # within length - t steps of v to close the cycle in time
+        budget.remaining -= 1
+        if budget.remaining < 0:
+            raise SearchBudgetExceeded(f"cycle search exceeded its node budget (length {length})")
+        if t == length - 1:
+            cand = rows[c] & ends & ~used & ~((2 << path[1]) - 1)
+        else:
+            cand = rows[c] & near[length - t] & ~used
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            u = low.bit_length() - 1
+            path.append(u)
+            if t + 1 == length or dfs(u, used | low, t + 1):
+                return True
+            path.pop()
+        return False
+
+    return tuple(path) if dfs(v, 1 << v, 1) else None
+
+
+def find_cycle_within(rows, allowed: int, length: int, budget: Budget):
+    """First cycle on exactly ``length`` vertices inside the vertex mask
+    ``allowed``, or None: anchored at each vertex in turn, ascending, among
+    the vertices not below it."""
+    while allowed.bit_count() >= length:
+        low = allowed & -allowed
+        found = find_cycle_through(rows, low.bit_length() - 1, allowed, length, budget)
+        if found is not None:
+            return found
+        allowed ^= low
     return None

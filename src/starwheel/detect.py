@@ -11,7 +11,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ._cycles import Budget, SearchBudgetExceeded, find_cycle_of_length
+from ._cycles import (
+    Budget,
+    SearchBudgetExceeded,
+    find_cycle_of_length,
+    find_cycle_through,
+    find_cycle_within,
+)
 from .core import Graph, girth
 
 __all__ = [
@@ -20,6 +26,7 @@ __all__ = [
     "SearchBudgetExceeded",
     "contains_star",
     "contains_wheel",
+    "wheel_through",
     "has_cycle_of_length",
     "cycle_spectrum",
     "is_pancyclic",
@@ -112,6 +119,37 @@ def contains_wheel(g: Graph, m: int, node_budget=None):
             continue
         within = tuple(row & nbrs if (nbrs >> v) & 1 else 0 for v, row in enumerate(g.rows))
         found = find_cycle_of_length(within, g.n, m, budget)
+        if found is not None:
+            return WheelWitness(hub, found)
+    return None
+
+
+def wheel_through(rows, v: int, m: int, node_budget=None):
+    """A WheelWitness for a W_m that uses vertex v, or None, on raw rows.
+
+    v is either the hub, tried first (a C_m inside N(v)), or on the rim of
+    a hub h in N(v), tried ascending: h needs degree >= m and v two rim
+    neighbours in N(v) & N(h), and the rim is a C_m through v inside N(h).
+    All searches draw on one budget. Every W_m of g either uses v or lies
+    in g - v, so when g - v has none this decides whether g has one.
+    """
+    if m < 3:
+        raise ValueError(f"wheel rim length must be >= 3, got {m}")
+    budget = Budget(node_budget)
+    nbrs = rows[v]
+    if nbrs.bit_count() >= m:
+        found = find_cycle_within(rows, nbrs, m, budget)
+        if found is not None:
+            return WheelWitness(v, found)
+    hubs = nbrs
+    while hubs:
+        low = hubs & -hubs
+        hubs ^= low
+        hub = low.bit_length() - 1
+        around = rows[hub]
+        if around.bit_count() < m or (around & nbrs).bit_count() < 2:
+            continue
+        found = find_cycle_through(rows, v, around, m, budget)
         if found is not None:
             return WheelWitness(hub, found)
     return None

@@ -18,9 +18,18 @@ automorphism) are pruned to one representative per node, using the twin
 partition ``_cycles.twin_reps`` that the cycle engine shares. The canonical
 form reuses this test: it relabels by the prefix that beats the current
 labeling (unplaced vertices after it, in index order) until none does.
+
+The child loop works on raw row tuples. It skips, unbuilt, every child
+whose new word below the last vertex beats that vertex's word (swapping
+the two would beat the labeling), and it offers each remaining child to a
+caller's labeling-free ``reject`` test before the canonicity test, so a
+hereditary prune such as the arrows scan's wheel test spares the
+canonicity proof of every child it drops.
 """
 
 from __future__ import annotations
+
+from itertools import chain
 
 from ._cycles import twin_reps
 from .core import Graph
@@ -99,20 +108,36 @@ def is_isomorphic(a: Graph, b: Graph) -> bool:
     return canonical_form(a) == canonical_form(b)
 
 
-def _extensions(g: Graph, order: int, dmax: int, prune):
-    """The canonical prefix g itself once it has ``order`` vertices; else
-    its canonical, unpruned children, descending by neighborhood bitmask,
-    each extended depth-first."""
-    k, rows = g.n, g.rows
+def _candidates(rows):
+    """The new vertex's neighbourhoods worth trying on the nonempty prefix
+    ``rows``, descending. Those whose word below the last vertex beats that
+    vertex's word are left out: swapping the two beats the labeling (swap
+    bound)."""
+    top = 1 << (len(rows) - 1)
+    word = rows[-1] & (top - 1)
+    return chain(range(top | word, top - 1, -1), range(word, -1, -1))
+
+
+def _extensions(rows, order: int, dmax: int, prune=None, reject=None):
+    """The canonical prefix ``rows`` itself once it has ``order`` vertices;
+    else its canonical, kept children, descending by neighborhood bitmask,
+    each extended depth-first.
+
+    ``reject(child)`` sees every child's raw rows before the canonicity
+    test, ``prune(child)`` only the canonical ones; True from either drops
+    the child and its subtree. ``reject`` must therefore not depend on the
+    labeling.
+    """
+    k = len(rows)
     if k == order:
-        yield g
+        yield rows
         return
     saturated = 0
     for v in range(k):
         if rows[v].bit_count() >= dmax:
             saturated |= 1 << v
     bit_k = 1 << k
-    for subset in range((1 << k) - 1, -1, -1):
+    for subset in _candidates(rows):
         if subset & saturated or subset.bit_count() > dmax:
             continue
         child = list(rows)
@@ -123,11 +148,12 @@ def _extensions(g: Graph, order: int, dmax: int, prune):
             child[low.bit_length() - 1] |= bit_k
             m ^= low
         child = tuple(child)
+        if reject is not None and reject(child):
+            continue
         if not is_canonical(child, k + 1):
             continue
-        c = Graph._of(k + 1, child)
-        if prune is None or not prune(c):
-            yield from _extensions(c, order, dmax, prune)
+        if prune is None or not prune(child):
+            yield from _extensions(child, order, dmax, prune, reject)
 
 
 def enumerate_degree_bounded(order: int, dmax: int, prune=None):
@@ -143,7 +169,8 @@ def enumerate_degree_bounded(order: int, dmax: int, prune=None):
         raise ValueError(f"order must be >= 0, got {order}")
     if dmax < 0:
         raise ValueError(f"degree bound must be >= 0, got {dmax}")
-    k = min(order, 1)
-    root = Graph._of(k, (0,) * k)
-    if prune is None or not prune(root):
-        yield from _extensions(root, order, dmax, prune)
+    root = (0,) * min(order, 1)
+    on_rows = None if prune is None else lambda rows: prune(Graph._of(len(rows), rows))
+    if on_rows is None or not on_rows(root):
+        for rows in _extensions(root, order, dmax, on_rows):
+            yield Graph._of(order, rows)

@@ -11,7 +11,9 @@ The search space is pruned up front to max degree <= n-1 (degree >= n is
 itself the star certificate), and an enumeration subtree is abandoned as
 soon as the complement of its prefix graph contains W_m: induced
 subgraphs of the complement persist under extension, so nothing good is
-lost. Enumeration order is fixed and documented (see enumeration), making
+lost. Below the roots the test runs on raw rows before canonicity and
+looks only for wheels through the new vertex (see ``_scan_task``).
+Enumeration order is fixed and documented (see enumeration), making
 reports reproducible byte for byte and independent of the worker count.
 """
 
@@ -19,11 +21,11 @@ from __future__ import annotations
 
 import time
 from concurrent import futures
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .construct import lower_bound_witness, theta
 from .core import Graph
-from .detect import StarWitness, WheelWitness, contains_star, contains_wheel
+from .detect import StarWitness, WheelWitness, contains_star, contains_wheel, wheel_through
 from .enumeration import _extensions, enumerate_degree_bounded
 
 __all__ = [
@@ -126,7 +128,11 @@ class SearchReport:
 
     Serialized line format: ``n m N outcome count elapsed_ms`` (stable
     field order); timing is suppressed to ``-`` unless requested, keeping
-    reports byte-identical across runs and worker counts.
+    reports byte-identical across runs and worker counts. ``survivors``
+    maps each level from 2 on to the number of canonical graphs of that
+    order the wheel prune kept, target-order graphs included, up to the
+    first good coloring; it is not part of the line, is the same for every
+    worker count, and is empty when nothing was enumerated.
     """
 
     n: int
@@ -136,6 +142,7 @@ class SearchReport:
     enumerated: int
     elapsed_ms: float
     witness: Graph | None = None
+    survivors: dict = field(default_factory=dict, hash=False)
 
     @property
     def holds(self) -> bool:
@@ -147,9 +154,10 @@ class SearchReport:
 
 
 def _wheel_prune(n: int, m: int, order: int, node_budget):
-    """Subtree prune for the arrows scan: a prefix whose complement already
-    contains W_m cannot extend to a good coloring. Never applied at the
-    target order itself, where goodness is tested (and counted) explicitly."""
+    """Subtree prune for the roots of the arrows scan, applied to canonical
+    graphs: a prefix whose complement already contains W_m cannot extend to
+    a good coloring. Never applied at the target order itself, where
+    goodness is tested (and counted) explicitly."""
 
     def prune(g: Graph) -> bool:
         if g.n >= order or g.n <= m:
@@ -160,16 +168,38 @@ def _wheel_prune(n: int, m: int, order: int, node_budget):
 
 
 def _scan_task(args):
-    """Scan one frontier subtree for a good coloring (worker-safe); a
-    SearchBudgetExceeded propagates to the caller."""
+    """Scan one frontier subtree for a good coloring (worker-safe): the
+    count of target-order graphs tested, the first good one's rows or None,
+    and the canonical graphs kept per level. A SearchBudgetExceeded
+    propagates to the caller.
+
+    Every parent met here has a W_m-free complement (the root passed the
+    root prune, each deeper parent the test below), so a child's complement
+    has a W_m iff it has one through the new vertex. That is tested on the
+    child's raw rows before its canonicity test, at the levels the root
+    prune covers.
+    """
     root_rows, order, n, m, node_budget = args
-    root = Graph._of(len(root_rows), root_rows)
+    kept = [0] * (order + 1)
+
+    def reject(rows):
+        k = len(rows)
+        if k <= m or k >= order:
+            return False
+        full = (1 << k) - 1
+        comp = [full ^ row ^ (1 << u) for u, row in enumerate(rows)]
+        return wheel_through(comp, k - 1, m, node_budget) is not None
+
+    def count(rows):
+        kept[len(rows)] += 1
+        return False
+
     tested = 0
-    for g in _extensions(root, order, n - 1, _wheel_prune(n, m, order, node_budget)):
+    for rows in _extensions(root_rows, order, n - 1, count, reject):
         tested += 1
-        if contains_wheel(g.complement(), m, node_budget) is None:
-            return tested, g.rows
-    return tested, None
+        if contains_wheel(Graph._of(order, rows).complement(), m, node_budget) is None:
+            return tested, rows, kept
+    return tested, None, kept
 
 
 def arrows(order: int, n: int, m: int, workers: int = 1, node_budget=None) -> SearchReport:
@@ -189,7 +219,15 @@ def arrows(order: int, n: int, m: int, workers: int = 1, node_budget=None) -> Se
         raise ValueError(f"order must be >= 0, got {order}")
     started = time.perf_counter()
 
-    prune = _wheel_prune(n, m, order, node_budget)
+    kept = [0] * (order + 1)
+    wheel = _wheel_prune(n, m, order, node_budget)
+
+    def prune(g: Graph) -> bool:
+        if wheel(g):
+            return True
+        kept[g.n] += 1
+        return False
+
     roots = enumerate_degree_bounded(order if order <= 1 else min(6, order - 1), n - 1, prune=prune)
     tasks = [(g.rows, order, n, m, node_budget) for g in roots]
 
@@ -199,8 +237,10 @@ def arrows(order: int, n: int, m: int, workers: int = 1, node_budget=None) -> Se
     try:
         # both re-raise a task's SearchBudgetExceeded, in task order
         results = map(_scan_task, tasks) if pool is None else pool.map(_scan_task, tasks)
-        for tested, rows in results:
+        for tested, rows, task_kept in results:
             total += tested
+            for level, c in enumerate(task_kept):
+                kept[level] += c
             if rows is not None:
                 witness_rows = rows
                 break
@@ -211,9 +251,12 @@ def arrows(order: int, n: int, m: int, workers: int = 1, node_budget=None) -> Se
             pool.shutdown(cancel_futures=True)
 
     elapsed = (time.perf_counter() - started) * 1000.0
+    # the root graph itself is no search result
+    survivors = {level: c for level, c in enumerate(kept) if c and level >= 2}
     if witness_rows is not None:
-        return SearchReport(n, m, order, "good-graph-found", total, elapsed, Graph._of(order, witness_rows))
-    return SearchReport(n, m, order, "arrows-holds", total, elapsed)
+        witness = Graph._of(order, witness_rows)
+        return SearchReport(n, m, order, "good-graph-found", total, elapsed, witness, survivors)
+    return SearchReport(n, m, order, "arrows-holds", total, elapsed, survivors=survivors)
 
 
 def _witness_shortcut(order: int, n: int, m: int) -> SearchReport | None:

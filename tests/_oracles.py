@@ -57,6 +57,18 @@ def naive_contains_wheel(g: Graph, m: int) -> bool:
     return False
 
 
+def naive_wheel_through(g: Graph, v: int, m: int) -> bool:
+    """Some W_m of g has v as its hub or on its rim."""
+    for hub in range(g.n):
+        nbrs = g.neighbors(hub)
+        if hub != v and v not in nbrs:
+            continue
+        for rim in combinations(nbrs, m):
+            if (hub == v or v in rim) and naive_has_cycle(g.induced_subgraph(rim), m):
+                return True
+    return False
+
+
 def brute_isomorphic(a: Graph, b: Graph) -> bool:
     """Permutation search; keep to n <= 8."""
     if a.n != b.n or a.edge_count() != b.edge_count():

@@ -262,6 +262,43 @@ class TestInterrupt:
         assert proc.returncode == 130
         assert b"Traceback" not in err and b"interrupted" in err
 
+    @pytest.mark.parametrize("whole_group", [True, False], ids=["group", "main"])
+    def test_ctrl_c_stops_a_pooled_search(self, whole_group):
+        # a terminal's Ctrl-C reaches the whole process group, workers
+        # included; a kill from elsewhere may reach the main process alone.
+        # The (5,6) scan at order 13 runs for seconds with two workers.
+        import os
+        import signal
+        import time
+
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "starwheel.cli", "search", "5", "6", "--threads", "2"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            start_new_session=True,
+        )
+        try:
+            time.sleep(1)
+            if whole_group:
+                os.killpg(proc.pid, signal.SIGINT)
+            else:
+                proc.send_signal(signal.SIGINT)
+            _, err = proc.communicate(timeout=60)
+            # the workers share the search's new process group: none is left
+            try:
+                os.killpg(proc.pid, 0)
+                left_behind = True
+            except ProcessLookupError:
+                left_behind = False
+        finally:
+            try:
+                os.killpg(proc.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+        assert proc.returncode == 130
+        assert b"Traceback" not in err and b"interrupted" in err
+        assert not left_behind
+
 
 class TestParameterValidation:
     def test_certify_rejects_bad_parameters_even_on_empty_input(self, monkeypatch, capsys):

@@ -1,9 +1,24 @@
 import random
+from itertools import combinations
 
 import pytest
 
-from _oracles import naive_contains_wheel, naive_cycle_spectrum, random_graph, random_permutation
-from starwheel._cycles import Budget, find_cycle_of_length, twin_classes, twin_reps
+from _oracles import (
+    naive_contains_wheel,
+    naive_cycle_spectrum,
+    naive_has_cycle,
+    naive_wheel_through,
+    random_graph,
+    random_permutation,
+)
+from starwheel._cycles import (
+    Budget,
+    find_cycle_of_length,
+    find_cycle_through,
+    find_cycle_within,
+    twin_classes,
+    twin_reps,
+)
 from starwheel.construct import lower_bound_witness
 from starwheel.core import Graph, complete, cycle, empty_graph, max_degree, path, star, wheel
 from starwheel.detect import (
@@ -14,6 +29,7 @@ from starwheel.detect import (
     has_cycle_of_length,
     is_pancyclic,
     is_weakly_pancyclic,
+    wheel_through,
 )
 
 K33 = Graph.from_edges(6, [(i, 3 + j) for i in range(3) for j in range(3)])
@@ -139,6 +155,65 @@ class TestWheel:
             g = random_graph(rng, rng.randrange(4, 9))
             for m in (3, 4, 5, 6):
                 assert (contains_wheel(g, m) is not None) == naive_contains_wheel(g, m)
+
+
+class TestWheelThrough:
+    def test_random_against_oracle(self):
+        rng = random.Random(47)
+        for _ in range(80):
+            g = random_graph(rng, rng.randrange(4, 9), rng.choice([0.5, 0.7, 0.85]))
+            for m in (3, 4, 5, 6):
+                for v in range(g.n):
+                    found = wheel_through(g.rows, v, m)
+                    assert (found is not None) == naive_wheel_through(g, v, m), (g.rows, v, m)
+                    if found is not None:
+                        assert found.validate(g, m) and v in (found.hub, *found.rim)
+
+    def test_wheel_itself_from_every_vertex(self):
+        g = wheel(6)
+        for v in range(7):
+            found = wheel_through(g.rows, v, 6)
+            assert found.hub == 6 and found.validate(g, 6)
+        assert all(wheel_through(g.rows, v, 5) is None for v in range(7))
+
+    def test_precondition(self):
+        with pytest.raises(ValueError):
+            wheel_through(complete(5).rows, 0, 2)
+
+    def test_budget_exhaustion_is_an_error(self):
+        g = complete(7)
+        with pytest.raises(SearchBudgetExceeded):
+            wheel_through(g.rows, 0, 6, node_budget=3)
+
+
+class TestCycleThrough:
+    def test_random_against_oracle(self):
+        rng = random.Random(53)
+        for _ in range(120):
+            g = random_graph(rng, rng.randrange(3, 9))
+            full = (1 << g.n) - 1
+            for length in range(3, g.n + 1):
+                found = find_cycle_within(g.rows, full, length, Budget())
+                assert (found is not None) == (length in naive_cycle_spectrum(g))
+                for v in range(g.n):
+                    through = find_cycle_through(g.rows, v, full, length, Budget())
+                    expected = any(
+                        naive_has_cycle(g.induced_subgraph(vs), length)
+                        for vs in combinations(range(g.n), length)
+                        if v in vs
+                    )
+                    assert (through is not None) == expected, (g.rows, v, length)
+                    if through is not None:
+                        assert len(set(through)) == length and through[0] == v
+                        assert all(g.has_edge(through[i - 1], through[i]) for i in range(length))
+
+    def test_stays_inside_the_mask(self):
+        # wheel(6) minus the hub: the rim alone is the only 6-cycle
+        g = wheel(6)
+        rim = (1 << 6) - 1
+        assert find_cycle_through(g.rows, 0, rim, 6, Budget()) == (0, 1, 2, 3, 4, 5)
+        assert find_cycle_through(g.rows, 0, rim, 5, Budget()) is None
+        assert find_cycle_within(g.rows, rim ^ 1, 5, Budget()) is None
 
 
 class TestSpectrum:

@@ -13,6 +13,7 @@ from _oracles import (
 from starwheel.construct import lower_bound_witness
 from starwheel.core import max_degree
 from starwheel.enumeration import (
+    _candidates,
     canonical_form,
     enumerate_degree_bounded,
     is_canonical,
@@ -131,6 +132,22 @@ class TestEnumeration:
         )
         assert len(edgeless_only) == 1 and edgeless_only[0].edge_count() == 0
         assert len(everything) == 34
+
+    def test_swap_bound_skips_only_non_canonical_children(self, corpus_by_order):
+        # every child of every canonical graph on up to 7 vertices: a
+        # neighbourhood the child loop leaves out never gives a canonical child
+        skipped = 0
+        for k in range(1, 8):
+            for g in corpus_by_order[k]:
+                tried = list(_candidates(g.rows))
+                assert tried == sorted(set(tried), reverse=True)
+                assert set(tried) <= set(range(1 << k))
+                for nbrs in set(range(1 << k)).difference(tried):
+                    child = tuple(row | (nbrs >> u & 1) << k for u, row in enumerate(g.rows))
+                    child += (nbrs,)
+                    assert not is_canonical(child, k + 1), (g.rows, nbrs)
+                    skipped += 1
+        assert skipped > 10000
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):

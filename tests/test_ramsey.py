@@ -1,7 +1,6 @@
 import ast
 import subprocess
 import sys
-from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -11,8 +10,8 @@ from _oracles import naive_contains_wheel
 from starwheel import ramsey
 from starwheel.construct import lower_bound_witness, theta
 from starwheel.core import Graph, complete, empty_graph, max_degree
-from starwheel.detect import SearchBudgetExceeded, StarWitness
-from starwheel.enumeration import enumerate_degree_bounded
+from starwheel.detect import SearchBudgetExceeded, StarWitness, contains_wheel, wheel_through
+from starwheel.enumeration import enumerate_degree_bounded, is_canonical
 from starwheel.ramsey import (
     EXACT,
     LOWER_ONLY,
@@ -150,27 +149,48 @@ class TestArrows:
             (13, 4, 7, {2: 2, 3: 4, 4: 11, 5: 23, 6: 62, 7: 150, 8: 279, 9: 182, 10: 34, 11: 1, 12: 1, 13: 1}),
         ],
     )
-    def test_survivors_per_level_pinned(self, monkeypatch, order, n, m, survivors):
+    def test_survivors_per_level_pinned(self, order, n, m, survivors):
         # canonical graphs the wheel prune keeps, per level; any change to
         # pruning or canonicity that drops or adds a subtree moves these
-        kept = Counter()
-        make_prune = ramsey._wheel_prune
+        assert arrows(order, n, m).survivors == survivors
 
-        def counting_prune(*args):
-            prune = make_prune(*args)
+    @pytest.mark.parametrize("order,n,m", [(11, 4, 6), (12, 4, 5), (9, 4, 4)])
+    def test_survivors_independent_of_workers(self, order, n, m):
+        serial = arrows(order, n, m, workers=1)
+        pooled = arrows(order, n, m, workers=2)
+        assert serial.survivors and serial.survivors == pooled.survivors
+        assert serial.to_line() == pooled.to_line()
 
-            def counted(g):
-                if prune(g):
-                    return True
-                if g.n >= 2:
-                    kept[g.n] += 1
-                return False
-
-            return counted
-
-        monkeypatch.setattr(ramsey, "_wheel_prune", counting_prune)
-        arrows(order, n, m)
-        assert dict(kept) == survivors
+    @pytest.mark.parametrize("order,n,m", [(9, 4, 4), (11, 4, 6), (11, 3, 8), (13, 4, 7)])
+    def test_new_vertex_wheel_is_exact(self, order, n, m):
+        # the scan drops a child when its complement has a W_m through the
+        # new vertex; with a W_m-free parent that must be exactly "has a W_m".
+        # Parents: canonical, degree-capped graphs with W_m-free complements,
+        # level by level; children: every degree-capped extension of each.
+        parents = [(0,)]
+        checked = 0
+        while parents and len(parents[0]) < order:
+            k = len(parents[0]) + 1
+            level = []
+            for rows in parents:
+                saturated = {u for u in range(k - 1) if rows[u].bit_count() >= n - 1}
+                for nbrs in range(1 << (k - 1)):
+                    members = {u for u in range(k - 1) if (nbrs >> u) & 1}
+                    if len(members) > n - 1 or members & saturated:
+                        continue
+                    child = tuple(row | (u in members) << (k - 1) for u, row in enumerate(rows))
+                    child += (nbrs,)
+                    comp = Graph._of(k, child).complement()
+                    expected = contains_wheel(comp, m) is not None
+                    found = wheel_through(comp.rows, k - 1, m)
+                    assert (found is not None) == expected, (child, m)
+                    if found is not None:
+                        assert found.validate(comp, m) and k - 1 in (found.hub, *found.rim)
+                    checked += 1
+                    if not expected and is_canonical(child, k):
+                        level.append(child)
+            parents = level
+        assert checked > 1000
 
     @pytest.mark.parametrize("n,m", [(2, 4), (2, 5), (3, 4), (3, 5), (3, 6), (4, 4)])
     def test_agrees_with_naive_oracle(self, corpus_by_order, n, m):
