@@ -69,6 +69,15 @@ class WheelWitness:
             return False
         return all(g.has_edge(rim[i], rim[(i + 1) % m]) for i in range(m))
 
+    def neighbourhood(self, v: int) -> int:
+        """Bitmask of the vertices this wheel joins to its vertex v: the
+        rim when v is the hub, else the hub and v's two rim neighbours."""
+        rim = self.rim
+        if v == self.hub:
+            return sum(1 << u for u in rim)
+        i = rim.index(v)
+        return 1 << self.hub | 1 << rim[i - 1] | 1 << rim[(i + 1) % len(rim)]
+
     def __str__(self):
         return f"wheel hub={self.hub} rim={','.join(map(str, self.rim))}"
 

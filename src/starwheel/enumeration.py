@@ -19,17 +19,21 @@ partition ``_cycles.twin_reps`` that the cycle engine shares. The canonical
 form reuses this test: it relabels by the prefix that beats the current
 labeling (unplaced vertices after it, in index order) until none does.
 
-The child loop works on raw row tuples. It skips, unbuilt, every child
-whose new word below the last vertex beats that vertex's word (swapping
-the two would beat the labeling), and it offers each remaining child to a
-caller's labeling-free ``reject`` test before the canonicity test, so a
-hereditary prune such as the arrows scan's wheel test spares the
-canonicity proof of every child it drops.
+The child loop works on raw row tuples and settles most children before
+any search runs. A child is its parent plus a new vertex with
+neighbourhood S. Placing the new vertex at position j (ordering 0..j-1,
+new, j..k-1) ties the labeling's words below j and gives position j the
+word S restricted to vertices below j; when that beats vertex j's own word
+for any j, the child is not canonical (insertion bound), and the child
+loop never builds it. Each remaining child meets a caller's
+labeling-free ``reject`` test before the canonicity test, so a hereditary
+prune such as the arrows scan's wheel test spares the canonicity proof of
+every child it drops. ``reject`` answers with a mask of parent vertices
+its reason rests on: a sibling whose neighbourhood misses that mask is
+dropped for the same reason, unbuilt and untested.
 """
 
 from __future__ import annotations
-
-from itertools import chain
 
 from ._cycles import twin_reps
 from .core import Graph
@@ -108,14 +112,36 @@ def is_isomorphic(a: Graph, b: Graph) -> bool:
     return canonical_form(a) == canonical_form(b)
 
 
-def _candidates(rows):
-    """The new vertex's neighbourhoods worth trying on the nonempty prefix
-    ``rows``, descending. Those whose word below the last vertex beats that
-    vertex's word are left out: swapping the two beats the labeling (swap
-    bound)."""
-    top = 1 << (len(rows) - 1)
-    word = rows[-1] & (top - 1)
-    return chain(range(top | word, top - 1, -1), range(word, -1, -1))
+def _candidates(rows, dmax: int):
+    """The new vertex's neighbourhoods S worth trying on the nonempty prefix
+    ``rows``, descending: at most ``dmax`` vertices, none of degree ``dmax`` already, and none that the insertion bound rules
+    out, that is, none with S & (2^j - 1) > rows[j] & (2^j - 1) for some j.
+
+    Bits are chosen from the top down. ``tight`` holds the j whose
+    comparison is still tied on the bits chosen so far. Rows are symmetric,
+    so bit p of rows[j] is bit j of rows[p]: a 1 at bit p keeps every tied j
+    tied iff all of them are adjacent to p (else S beats rows[j] there), and
+    a 0 leaves tied only those not adjacent to p."""
+    k = len(rows)
+    unsaturated = 0
+    for v in range(k):
+        if rows[v].bit_count() < dmax:
+            unsaturated |= 1 << v
+    out = []
+
+    def descend(p, subset, room, tight):
+        while p >= 0:
+            row = rows[p]
+            if p + 1 < k:
+                tight |= 1 << (p + 1)
+            if room and (unsaturated >> p) & 1 and not tight & ~row:
+                descend(p - 1, subset | 1 << p, room - 1, tight)
+            tight &= ~row
+            p -= 1
+        out.append(subset)
+
+    descend(k - 1, 0, dmax, 0)
+    return out
 
 
 def _extensions(rows, order: int, dmax: int, prune=None, reject=None):
@@ -124,21 +150,21 @@ def _extensions(rows, order: int, dmax: int, prune=None, reject=None):
     each extended depth-first.
 
     ``reject(child)`` sees every child's raw rows before the canonicity
-    test, ``prune(child)`` only the canonical ones; True from either drops
-    the child and its subtree. ``reject`` must therefore not depend on the
-    labeling.
+    test and answers with a bitmask of parent vertices, 0 to keep the
+    child. A nonzero mask drops the child and vouches for its siblings:
+    every sibling whose neighbourhood misses the mask would be dropped too,
+    so none of them is built. ``reject`` must therefore not depend on the
+    labeling. ``prune(child)`` sees only the canonical children; True drops
+    the child and its subtree.
     """
     k = len(rows)
     if k == order:
         yield rows
         return
-    saturated = 0
-    for v in range(k):
-        if rows[v].bit_count() >= dmax:
-            saturated |= 1 << v
     bit_k = 1 << k
-    for subset in _candidates(rows):
-        if subset & saturated or subset.bit_count() > dmax:
+    blocked = []
+    for subset in _candidates(rows, dmax):
+        if any(not subset & t for t in blocked):
             continue
         child = list(rows)
         child.append(subset)
@@ -148,8 +174,11 @@ def _extensions(rows, order: int, dmax: int, prune=None, reject=None):
             child[low.bit_length() - 1] |= bit_k
             m ^= low
         child = tuple(child)
-        if reject is not None and reject(child):
-            continue
+        if reject is not None:
+            t = reject(child)
+            if t:
+                blocked.append(t)
+                continue
         if not is_canonical(child, k + 1):
             continue
         if prune is None or not prune(child):

@@ -175,9 +175,13 @@ def _scan_task(args):
 
     Every parent met here has a W_m-free complement (the root passed the
     root prune, each deeper parent the test below), so a child's complement
-    has a W_m iff it has one through the new vertex. That is tested on the
-    child's raw rows before its canonicity test, at the levels the root
-    prune covers.
+    has a W_m iff it has one through the new vertex v. That is tested on
+    the child's raw rows before its canonicity test, at the levels the root
+    prune covers. The wheel found joins v in the complement only to the
+    parent vertices of its ``neighbourhood(v)``; every sibling that is not
+    adjacent to any of them has the same wheel, and ``_extensions`` drops
+    it untested. A child settled so, or by the insertion bound, draws no
+    ``node_budget`` nodes.
     """
     root_rows, order, n, m, node_budget = args
     kept = [0] * (order + 1)
@@ -185,10 +189,11 @@ def _scan_task(args):
     def reject(rows):
         k = len(rows)
         if k <= m or k >= order:
-            return False
+            return 0
         full = (1 << k) - 1
         comp = [full ^ row ^ (1 << u) for u, row in enumerate(rows)]
-        return wheel_through(comp, k - 1, m, node_budget) is not None
+        found = wheel_through(comp, k - 1, m, node_budget)
+        return 0 if found is None else found.neighbourhood(k - 1)
 
     def count(rows):
         kept[len(rows)] += 1

@@ -249,7 +249,7 @@ class TestInterrupt:
         import time
 
         proc = subprocess.Popen(
-            [sys.executable, "-m", "starwheel.cli", "search", "5", "6", "--threads", "1"],
+            [sys.executable, "-m", "starwheel.cli", "search", "5", "8", "--threads", "1"],
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
         )
@@ -266,13 +266,13 @@ class TestInterrupt:
     def test_ctrl_c_stops_a_pooled_search(self, whole_group):
         # a terminal's Ctrl-C reaches the whole process group, workers
         # included; a kill from elsewhere may reach the main process alone.
-        # The (5,6) scan at order 13 runs for seconds with two workers.
+        # The (5,8) scan at order 14 runs for a minute with two workers.
         import os
         import signal
         import time
 
         proc = subprocess.Popen(
-            [sys.executable, "-m", "starwheel.cli", "search", "5", "6", "--threads", "2"],
+            [sys.executable, "-m", "starwheel.cli", "search", "5", "8", "--threads", "2"],
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
             start_new_session=True,

@@ -139,7 +139,7 @@ class TestEnumeration:
         skipped = 0
         for k in range(1, 8):
             for g in corpus_by_order[k]:
-                tried = list(_candidates(g.rows))
+                tried = _candidates(g.rows, k)  # no vertex reaches degree k
                 assert tried == sorted(set(tried), reverse=True)
                 assert set(tried) <= set(range(1 << k))
                 for nbrs in set(range(1 << k)).difference(tried):
@@ -147,7 +147,22 @@ class TestEnumeration:
                     child += (nbrs,)
                     assert not is_canonical(child, k + 1), (g.rows, nbrs)
                     skipped += 1
-        assert skipped > 10000
+        assert skipped >= 111232
+
+    @pytest.mark.parametrize("dmax", [1, 2, 3, None])
+    def test_candidates_follow_their_definition(self, corpus_by_order, dmax):
+        # the top-down walk gives exactly the capped neighbourhoods that no
+        # insertion position beats, descending
+        for k in range(1, 8):
+            for g in corpus_by_order[k]:
+                cap = k if dmax is None else dmax
+                saturated = sum(1 << u for u in range(k) if g.rows[u].bit_count() >= cap)
+                expected = [
+                    nbrs for nbrs in range(1 << k)[::-1]
+                    if nbrs.bit_count() <= cap and not nbrs & saturated
+                    and all(nbrs & ((1 << j) - 1) <= g.rows[j] & ((1 << j) - 1) for j in range(k))
+                ]
+                assert _candidates(g.rows, cap) == expected, (g.rows, cap)
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):

@@ -30,6 +30,33 @@ def surahmat_baskoro(n):
     return 2 * n + 1 if n % 2 == 0 else 2 * n + 3
 
 
+def _capped_families(order, n, m):
+    """Per surviving parent, its degree-capped children as (new vertex's
+    neighbourhood, complement, whether the complement has a W_m, the
+    new-vertex witness). Parents: canonical, degree-capped graphs with
+    W_m-free complements, level by level, decided by contains_wheel."""
+    parents = [(0,)]
+    while parents and len(parents[0]) < order:
+        k = len(parents[0]) + 1
+        level = []
+        for rows in parents:
+            saturated = {u for u in range(k - 1) if rows[u].bit_count() >= n - 1}
+            family = []
+            for nbrs in range(1 << (k - 1)):
+                members = {u for u in range(k - 1) if (nbrs >> u) & 1}
+                if len(members) > n - 1 or members & saturated:
+                    continue
+                child = tuple(row | (u in members) << (k - 1) for u, row in enumerate(rows))
+                child += (nbrs,)
+                comp = Graph._of(k, child).complement()
+                expected = contains_wheel(comp, m) is not None
+                family.append((nbrs, comp, expected, wheel_through(comp.rows, k - 1, m)))
+                if not expected and is_canonical(child, k):
+                    level.append(child)
+            yield family
+        parents = level
+
+
 class TestFormula:
     @pytest.mark.parametrize(
         "n,m,value,status,source",
@@ -147,12 +174,24 @@ class TestArrows:
             (9, 4, 4, {2: 2, 3: 4, 4: 11, 5: 20, 6: 44, 7: 45, 8: 27, 9: 68}),
             (11, 3, 8, {2: 2, 3: 4, 4: 7, 5: 11, 6: 19, 7: 29, 8: 46, 9: 24, 10: 5, 11: 5}),
             (13, 4, 7, {2: 2, 3: 4, 4: 11, 5: 23, 6: 62, 7: 150, 8: 279, 9: 182, 10: 34, 11: 1, 12: 1, 13: 1}),
+            (13, 5, 6, {2: 2, 3: 4, 4: 11, 5: 34, 6: 122, 7: 462, 8: 1579, 9: 2863, 10: 1454, 11: 88, 12: 5, 13: 5}),
         ],
     )
     def test_survivors_per_level_pinned(self, order, n, m, survivors):
         # canonical graphs the wheel prune keeps, per level; any change to
         # pruning or canonicity that drops or adds a subtree moves these
         assert arrows(order, n, m).survivors == survivors
+
+    @pytest.mark.slow
+    def test_survivors_per_level_pinned_at_5_8(self):
+        # the order-14 scan of R(K_{1,5}, W_8) = 14, a case of the paper's
+        # theorem; about a minute serially, so outside the default run
+        report = arrows(14, 5, 8)
+        assert report.to_line() == "5 8 14 arrows-holds 3 -"
+        assert report.survivors == {
+            2: 2, 3: 4, 4: 11, 5: 34, 6: 122, 7: 510, 8: 2590,
+            9: 12918, 10: 42469, 11: 35868, 12: 1695, 13: 3, 14: 3,
+        }
 
     @pytest.mark.parametrize("order,n,m", [(11, 4, 6), (12, 4, 5), (9, 4, 4)])
     def test_survivors_independent_of_workers(self, order, n, m):
@@ -164,33 +203,36 @@ class TestArrows:
     @pytest.mark.parametrize("order,n,m", [(9, 4, 4), (11, 4, 6), (11, 3, 8), (13, 4, 7)])
     def test_new_vertex_wheel_is_exact(self, order, n, m):
         # the scan drops a child when its complement has a W_m through the
-        # new vertex; with a W_m-free parent that must be exactly "has a W_m".
-        # Parents: canonical, degree-capped graphs with W_m-free complements,
-        # level by level; children: every degree-capped extension of each.
-        parents = [(0,)]
+        # new vertex; with a W_m-free parent that must be exactly "has a W_m"
         checked = 0
-        while parents and len(parents[0]) < order:
-            k = len(parents[0]) + 1
-            level = []
-            for rows in parents:
-                saturated = {u for u in range(k - 1) if rows[u].bit_count() >= n - 1}
-                for nbrs in range(1 << (k - 1)):
-                    members = {u for u in range(k - 1) if (nbrs >> u) & 1}
-                    if len(members) > n - 1 or members & saturated:
-                        continue
-                    child = tuple(row | (u in members) << (k - 1) for u, row in enumerate(rows))
-                    child += (nbrs,)
-                    comp = Graph._of(k, child).complement()
-                    expected = contains_wheel(comp, m) is not None
-                    found = wheel_through(comp.rows, k - 1, m)
-                    assert (found is not None) == expected, (child, m)
-                    if found is not None:
-                        assert found.validate(comp, m) and k - 1 in (found.hub, *found.rim)
-                    checked += 1
-                    if not expected and is_canonical(child, k):
-                        level.append(child)
-            parents = level
+        for family in _capped_families(order, n, m):
+            for _, comp, expected, found in family:
+                assert (found is not None) == expected, (comp.rows, m)
+                if found is not None:
+                    assert found.validate(comp, m) and comp.n - 1 in (found.hub, *found.rim)
+                checked += 1
         assert checked > 1000
+
+    @pytest.mark.parametrize("order,n,m", [(9, 4, 4), (11, 4, 6), (11, 3, 8), (13, 4, 7)])
+    def test_sibling_masks_are_sound(self, order, n, m):
+        # a witness through the new vertex v joins v only to the parent
+        # vertices of its neighbourhood(v); every sibling that avoids them all
+        # has a W_m in its complement too, so the scan may drop it untested
+        covered = 0
+        for family in _capped_families(order, n, m):
+            for _, comp, _, found in family:
+                if found is None:
+                    continue
+                v = comp.n - 1
+                mask = found.neighbourhood(v)
+                wheel = {found.hub, *found.rim}
+                assert mask and mask & comp.rows[v] == mask
+                assert all(u in wheel - {v} for u in range(v) if (mask >> u) & 1)
+                for nbrs, _, expected, _ in family:
+                    if not nbrs & mask:
+                        assert expected, (comp.rows, nbrs, mask)
+                        covered += 1
+        assert covered > 1000
 
     @pytest.mark.parametrize("n,m", [(2, 4), (2, 5), (3, 4), (3, 5), (3, 6), (4, 4)])
     def test_agrees_with_naive_oracle(self, corpus_by_order, n, m):
