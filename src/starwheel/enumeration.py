@@ -12,7 +12,11 @@ children that are themselves canonical. Each isomorphism class therefore
 appears exactly once, with no cross-level bookkeeping.
 
 The canonicity test is backtracking over orderings that tie the target
-word-for-word, aborting as soon as any ordering beats it; interchangeable
+word-for-word, aborting as soon as any ordering beats it. Each node
+compares the words of all unplaced vertices with the target at once, on
+vertex masks: walking the placed positions from the most significant down,
+it narrows the mask of vertices still tied and collects those that beat
+the target, in O(depth) mask steps with no word built. Interchangeable
 vertices (equal rows ignoring their mutual bits, so swapping them is an
 automorphism) are pruned to one representative per node, using the twin
 partition ``_cycles.twin_reps`` that the cycle engine shares. The canonical
@@ -47,44 +51,55 @@ def _improvement(rows, n: int):
     ordering prefix found whose words beat the labeling's."""
     if n <= 1:
         return None
-    pos = [-1] * n
     rep = twin_reps(rows, n)
+    order = [0] * n  # order[i]: the vertex placed at position i
 
-    def attempt(depth, placed_mask, unplaced):
-        # True = no ordering in this subtree beats the target labeling
-        target = rows[depth] & ((1 << depth) - 1)
-        ties = []
-        seen = 0
-        m = unplaced
-        while m:
-            low = m & -m
-            u = low.bit_length() - 1
-            m ^= low
-            w = 0
-            nb = rows[u] & placed_mask
-            while nb:
-                nlow = nb & -nb
-                w |= 1 << pos[nlow.bit_length() - 1]
-                nb ^= nlow
-            if w > target:
-                pos[u] = depth
-                return False
-            if w == target and not (seen >> rep[u]) & 1:
-                # unplaced twins have equal words: one per class suffices
-                seen |= 1 << rep[u]
-                ties.append(u)
+    def attempt(depth, unplaced):
+        # the length of the first prefix found that beats the target
+        # labeling, 0 if no ordering in this subtree does
+        target = rows[depth]
+        # compare every unplaced vertex's word with the target at once, from
+        # the most significant position down: ``tie`` holds the vertices
+        # whose word agrees with the target so far, ``beat`` those whose
+        # word has a 1 at the first position where it differs (a 0 loses)
+        tie = unplaced
+        beat = 0
+        i = depth - 1
+        while tie and i >= 0:
+            nb = rows[order[i]]
+            if (target >> i) & 1:
+                tie &= nb
+            else:
+                beat |= tie & nb
+                tie &= ~nb
+            i -= 1
+        if beat:
+            order[depth] = (beat & -beat).bit_length() - 1
+            return depth + 1
         if depth == n - 1:
-            return True
-        for u in ties:
-            bu = 1 << u
-            pos[u] = depth
-            if not attempt(depth + 1, placed_mask | bu, unplaced ^ bu):
-                return False
-            pos[u] = -1
-        return True
+            return 0
+        seen = 0
+        while tie:
+            low = tie & -tie
+            tie ^= low
+            u = low.bit_length() - 1
+            if (seen >> rep[u]) & 1:
+                continue  # unplaced twins have equal words: one per class suffices
+            seen |= 1 << rep[u]
+            order[depth] = u
+            found = attempt(depth + 1, unplaced ^ low)
+            if found:
+                return found
+        return 0
 
     # position 0 carries no word: every vertex ties there
-    return None if attempt(0, 0, (1 << n) - 1) else pos
+    found = attempt(0, (1 << n) - 1)
+    if not found:
+        return None
+    pos = [-1] * n
+    for i in range(found):
+        pos[order[i]] = i
+    return pos
 
 
 def is_canonical(rows, n: int) -> bool:
@@ -114,8 +129,9 @@ def is_isomorphic(a: Graph, b: Graph) -> bool:
 
 def _candidates(rows, dmax: int):
     """The new vertex's neighbourhoods S worth trying on the nonempty prefix
-    ``rows``, descending: at most ``dmax`` vertices, none of degree ``dmax`` already, and none that the insertion bound rules
-    out, that is, none with S & (2^j - 1) > rows[j] & (2^j - 1) for some j.
+    ``rows``, descending: at most ``dmax`` vertices, none of degree ``dmax``
+    already, and none that the insertion bound rules out, that is, none
+    with S & (2^j - 1) > rows[j] & (2^j - 1) for some j.
 
     Bits are chosen from the top down. ``tight`` holds the j whose
     comparison is still tied on the bits chosen so far. Rows are symmetric,

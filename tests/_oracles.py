@@ -3,7 +3,8 @@
 Everything here is deliberately naive and separate from the library's own
 algorithms: cycle queries enumerate vertex subsets and cyclic orders,
 isomorphism is permutation search, and class counting marks whole orbits
-of labeled graphs.
+of labeled graphs. The canonicity backtrack is kept in a per-vertex form,
+which builds each unplaced vertex's word bit by bit.
 """
 
 from itertools import combinations, permutations
@@ -77,6 +78,52 @@ def brute_isomorphic(a: Graph, b: Graph) -> bool:
         if a.relabel(perm) == b:
             return True
     return False
+
+
+def reference_improvement(rows, n: int):
+    """What ``enumeration._improvement`` answers, one vertex word at a time:
+    None iff the labeling lex-maximizes the column-word tuple, else the
+    position of each vertex (-1 if unplaced) in the first ordering prefix
+    found, in the same backtrack order, whose words beat the labeling's.
+    Twins (rows equal outside the pair) are found pairwise here."""
+    if n <= 1:
+        return None
+    rep = [
+        min(u for u in range(n) if not (rows[u] ^ rows[v]) & ~(1 << u | 1 << v))
+        for v in range(n)
+    ]
+    pos = [-1] * n
+
+    def attempt(depth, placed_mask, unplaced):
+        # True = no ordering in this subtree beats the target labeling
+        target = rows[depth] & ((1 << depth) - 1)
+        ties = []
+        seen = set()
+        for u in range(n):
+            if not (unplaced >> u) & 1:
+                continue
+            w = 0
+            for p in range(n):
+                if (placed_mask >> p) & 1 and (rows[u] >> p) & 1:
+                    w |= 1 << pos[p]
+            if w > target:
+                pos[u] = depth
+                return False
+            if w == target and rep[u] not in seen:
+                # unplaced twins have equal words: one per class suffices
+                seen.add(rep[u])
+                ties.append(u)
+        if depth == n - 1:
+            return True
+        for u in ties:
+            pos[u] = depth
+            if not attempt(depth + 1, placed_mask | 1 << u, unplaced & ~(1 << u)):
+                return False
+            pos[u] = -1
+        return True
+
+    # position 0 carries no word: every vertex ties there
+    return None if attempt(0, 0, (1 << n) - 1) else pos
 
 
 def _pair_index(n):

@@ -9,11 +9,13 @@ from _oracles import (
     labeled_class_representatives,
     random_graph,
     random_permutation,
+    reference_improvement,
 )
 from starwheel.construct import lower_bound_witness
 from starwheel.core import max_degree
 from starwheel.enumeration import (
     _candidates,
+    _improvement,
     canonical_form,
     enumerate_degree_bounded,
     is_canonical,
@@ -46,9 +48,9 @@ class TestCanonicalForm:
             assert is_canonical(cf.rows, cf.n)
             assert canonical_form(cf) == cf
 
-    @pytest.mark.parametrize("n,m", [(5, 6), (6, 8), (7, 10), (8, 12)])
+    @pytest.mark.parametrize("n,m", [(5, 6), (6, 8), (7, 10), (8, 12), (11, 6)])
     def test_twin_heavy_witnesses_above_order_8(self, n, m):
-        # orders 12..20; the K_n block and the regular complement are full of twins
+        # orders 12..24; the K_n block and the regular complement are full of twins
         g = lower_bound_witness(n, m)
         assert g.n > 8
         rng = random.Random(73 + n)
@@ -66,6 +68,47 @@ class TestCanonicalForm:
             b = random_graph(rng, n)
             assert is_isomorphic(a, b) == brute_isomorphic(a, b)
             assert is_isomorphic(a, a.relabel(random_permutation(rng, n)))
+
+
+def _check_improvement(rows, n):
+    """_improvement agrees with the reference backtrack, and a prefix it
+    names ties the labeling's words and beats it at its last position."""
+    pos = _improvement(rows, n)
+    assert pos == reference_improvement(rows, n), rows
+    if pos is None:
+        return
+    order = sorted((p, v) for v, p in enumerate(pos) if p >= 0)
+    assert [p for p, _ in order] == list(range(len(order)))
+    for depth, (_, v) in enumerate(order):
+        word = sum(1 << i for i, (_, u) in enumerate(order[:depth]) if (rows[v] >> u) & 1)
+        target = rows[depth] & ((1 << depth) - 1)
+        if depth < len(order) - 1:
+            assert word == target, (rows, depth)
+        else:
+            assert word > target, (rows, depth)
+
+
+class TestImprovement:
+    def test_every_child_up_to_seven_vertices(self, corpus_by_order):
+        for k in range(1, 7):
+            for g in corpus_by_order[k]:
+                for nbrs in range(1 << k):
+                    child = tuple(row | (nbrs >> u & 1) << k for u, row in enumerate(g.rows))
+                    _check_improvement(child + (nbrs,), k + 1)
+
+    def test_random_graphs(self):
+        rng = random.Random(79)
+        for _ in range(300):
+            g = random_graph(rng, rng.randrange(0, 13))
+            _check_improvement(g.rows, g.n)
+
+    @pytest.mark.parametrize("n,m", [(5, 6), (6, 8), (7, 10)])
+    def test_relabelled_witnesses(self, n, m):
+        g = lower_bound_witness(n, m)
+        rng = random.Random(83 + n)
+        for _ in range(3):
+            h = g.relabel(random_permutation(rng, g.n))
+            _check_improvement(h.rows, h.n)
 
 
 class TestEnumeration:
