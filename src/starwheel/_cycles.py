@@ -9,11 +9,13 @@ adjacency is all-or-nothing, which makes the quotient walk equivalent to
 the vertex search while collapsing the huge symmetric branching that dense
 join-like graphs otherwise produce.
 
-Within the quotient the search is plain backtracking: anchor at the
-smallest usable class, extend by ascending class index, prune on the BFS
-distance back to the anchor, on exhausted budgets, and on a static
-capacity bound (an independent class can occupy at most floor(L/2)
-positions of a cycle of length L).
+Within the quotient the search is plain backtracking: anchor at each
+class in turn, skip an anchor whose component fails a static capacity
+bound (an independent class can occupy at most floor(L/2) positions of a
+cycle of length L), and extend by ascending class index. A node visits
+one bitmask of classes: its quotient row AND the classes with
+multiplicity left AND those whose BFS distance back to the anchor fits
+the steps left.
 
 ``find_cycle_through`` answers the narrower question the arrows scan asks
 of each new vertex, a cycle through one given vertex inside a vertex
@@ -24,8 +26,6 @@ relabelling. ``find_cycle_within`` anchors it at each vertex in turn.
 from __future__ import annotations
 
 DEFAULT_NODE_BUDGET = 10**8
-
-_INF = float("inf")
 
 
 class SearchBudgetExceeded(RuntimeError):
@@ -59,29 +59,38 @@ def twin_reps(rows, n: int) -> list:
 
 def twin_classes(rows, n: int) -> list:
     """Twin classes of the non-isolated vertices, each a sorted vertex list,
-    ordered by smallest member."""
-    classes = {}
-    for v, rep in enumerate(twin_reps(rows, n)):
-        if rows[v]:
-            classes.setdefault(rep, []).append(v)
-    return list(classes.values())
+    ordered by smallest member: ``twin_reps``'s partition, in one pass that
+    skips zero rows (an isolated vertex is no non-isolated one's twin)."""
+    open_rows, closed_rows = {}, {}
+    classes = []
+    for v in range(n):
+        row = rows[v]
+        if not row:
+            continue
+        members = open_rows.get(row)
+        if members is None:
+            members = open_rows[row] = closed_rows.setdefault(row | 1 << v, [])
+            if not members:
+                classes.append(members)
+        members.append(v)
+    return classes
 
 
 def _quotient(rows, classes):
+    """Class adjacency masks, with its own bit for a class of adjacent twins."""
     k = len(classes)
     reps = [ms[0] for ms in classes]
-    qadj = [0] * k
-    selfloop = [False] * k
+    step = [0] * k
     for i in range(k):
         members = classes[i]
         if len(members) >= 2 and (rows[members[0]] >> members[1]) & 1:
-            selfloop[i] = True
+            step[i] |= 1 << i
         row = rows[reps[i]]
         for j in range(i + 1, k):
             if (row >> reps[j]) & 1:
-                qadj[i] |= 1 << j
-                qadj[j] |= 1 << i
-    return qadj, selfloop
+                step[i] |= 1 << j
+                step[j] |= 1 << i
+    return step
 
 
 def find_cycle_of_length(rows, n: int, length: int, budget: Budget | None = None):
@@ -98,83 +107,65 @@ def find_cycle_of_length(rows, n: int, length: int, budget: Budget | None = None
         budget = Budget()
 
     classes = twin_classes(rows, n)
-    qadj, selfloop = _quotient(rows, classes)
+    step = _quotient(rows, classes)
     k = len(classes)
     sizes = [len(ms) for ms in classes]
     half = length // 2
 
     for anchor in range(k):
-        geq = ~((1 << anchor) - 1)
-        # component of the anchor among classes >= anchor, with BFS distances
-        dist = [_INF] * k
-        dist[anchor] = 0
-        frontier = [anchor]
-        allowed = 1 << anchor
-        d = 0
+        # within[r]: the classes >= anchor at BFS distance <= r from it
+        geq = -1 << anchor
+        reach = frontier = 1 << anchor
+        within = [reach]
         while frontier:
-            d += 1
-            nxt = []
-            for c in frontier:
-                reach = qadj[c] & geq & ~allowed
-                allowed |= reach
-                m = reach
-                while m:
-                    low = m & -m
-                    c2 = low.bit_length() - 1
-                    dist[c2] = d
-                    nxt.append(c2)
-                    m ^= low
-            frontier = nxt
+            layer = 0
+            while frontier:
+                low = frontier & -frontier
+                frontier ^= low
+                layer |= step[low.bit_length() - 1]
+            frontier = layer & geq & ~reach
+            reach |= frontier
+            within.append(reach)
+        within += [reach] * (length - len(within))
 
         capacity = 0
-        total = 0
-        m = allowed
+        m = reach
         while m:
             low = m & -m
             c = low.bit_length() - 1
             m ^= low
-            capacity += sizes[c] if selfloop[c] else min(sizes[c], half)
-            total += sizes[c]
+            capacity += sizes[c] if (step[c] >> c) & 1 else min(sizes[c], half)
         if capacity < length:
             continue
 
         budgets = sizes[:]
         budgets[anchor] -= 1
-        path = [anchor]
-        total -= 1
+        path = []  # filled in reverse as a found cycle unwinds
 
-        def dfs(c, t, total):
+        def dfs(c, remaining, avail):
+            # avail: classes with multiplicity left; remaining: steps to close
             budget.remaining -= 1
             if budget.remaining < 0:
                 raise SearchBudgetExceeded(
                     f"cycle search exceeded its node budget (length {length})"
                 )
-            if t == length:
-                return bool((qadj[c] >> anchor) & 1) or (c == anchor and selfloop[c])
-            remaining = length - t
-            if total < remaining:
-                return False
-            cand = qadj[c] & allowed
-            if selfloop[c]:
-                cand |= 1 << c
-            m = cand
-            while m:
-                low = m & -m
+            if not remaining:
+                return (step[c] >> anchor) & 1
+            cand = step[c] & avail & within[remaining]
+            while cand:
+                low = cand & -cand
+                cand ^= low
                 nxt = low.bit_length() - 1
-                m ^= low
-                if budgets[nxt] == 0 or dist[nxt] > remaining:
-                    continue
                 budgets[nxt] -= 1
-                path.append(nxt)
-                if dfs(nxt, t + 1, total - 1):
+                if dfs(nxt, remaining - 1, avail if budgets[nxt] else avail ^ low):
+                    path.append(nxt)
                     return True
-                path.pop()
                 budgets[nxt] += 1
             return False
 
-        if dfs(anchor, 1, total):
+        if dfs(anchor, length - 1, -1 if budgets[anchor] else ~(1 << anchor)):
             members = [iter(ms) for ms in classes]
-            return tuple(next(members[c]) for c in path)
+            return tuple(next(members[c]) for c in [anchor] + path[::-1])
     return None
 
 

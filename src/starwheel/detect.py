@@ -126,8 +126,14 @@ def contains_wheel(g: Graph, m: int, node_budget=None):
         nbrs = g.rows[hub]
         if nbrs.bit_count() < m:
             continue
-        within = tuple(row & nbrs if (nbrs >> v) & 1 else 0 for v, row in enumerate(g.rows))
-        found = find_cycle_of_length(within, g.n, m, budget)
+        hood = [0] * g.n
+        rest = nbrs
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            v = low.bit_length() - 1
+            hood[v] = g.rows[v] & nbrs
+        found = find_cycle_of_length(hood, g.n, m, budget)
         if found is not None:
             return WheelWitness(hub, found)
     return None

@@ -4,7 +4,8 @@ Everything here is deliberately naive and separate from the library's own
 algorithms: cycle queries enumerate vertex subsets and cyclic orders,
 isomorphism is permutation search, and class counting marks whole orbits
 of labeled graphs. The canonicity backtrack is kept in a per-vertex form,
-which builds each unplaced vertex's word bit by bit.
+which builds each unplaced vertex's word bit by bit, and the cycle search
+in a per-class form, which tests each candidate class bit by bit.
 """
 
 from itertools import combinations, permutations
@@ -12,6 +13,7 @@ import random
 
 import numpy as np
 
+from starwheel._cycles import SearchBudgetExceeded
 from starwheel.core import Graph
 
 
@@ -124,6 +126,112 @@ def reference_improvement(rows, n: int):
 
     # position 0 carries no word: every vertex ties there
     return None if attempt(0, 0, (1 << n) - 1) else pos
+
+
+def reference_find_cycle_of_length(rows, n: int, length: int, budget):
+    """What ``_cycles.find_cycle_of_length`` answers, drawing the same nodes
+    from ``budget``: the quotient walk that tests each adjacent class's
+    multiplicity and BFS distance one bit at a time. Twin classes are
+    found pairwise here, isolated vertices left out."""
+    if length < 3:
+        raise ValueError(f"cycle length must be >= 3, got {length}")
+    if length > n:
+        return None
+    by_rep = {}
+    for v in range(n):
+        if rows[v]:
+            rep = min(u for u in range(n) if not (rows[u] ^ rows[v]) & ~(1 << u | 1 << v))
+            by_rep.setdefault(rep, []).append(v)
+    classes = list(by_rep.values())
+    k = len(classes)
+    reps = [ms[0] for ms in classes]
+    qadj = [0] * k
+    selfloop = [False] * k
+    for i in range(k):
+        members = classes[i]
+        if len(members) >= 2 and (rows[members[0]] >> members[1]) & 1:
+            selfloop[i] = True
+        row = rows[reps[i]]
+        for j in range(i + 1, k):
+            if (row >> reps[j]) & 1:
+                qadj[i] |= 1 << j
+                qadj[j] |= 1 << i
+    sizes = [len(ms) for ms in classes]
+    half = length // 2
+
+    for anchor in range(k):
+        geq = ~((1 << anchor) - 1)
+        # component of the anchor among classes >= anchor, with BFS distances
+        dist = [float("inf")] * k
+        dist[anchor] = 0
+        frontier = [anchor]
+        allowed = 1 << anchor
+        d = 0
+        while frontier:
+            d += 1
+            nxt = []
+            for c in frontier:
+                reach = qadj[c] & geq & ~allowed
+                allowed |= reach
+                m = reach
+                while m:
+                    low = m & -m
+                    c2 = low.bit_length() - 1
+                    dist[c2] = d
+                    nxt.append(c2)
+                    m ^= low
+            frontier = nxt
+
+        capacity = 0
+        total = 0
+        m = allowed
+        while m:
+            low = m & -m
+            c = low.bit_length() - 1
+            m ^= low
+            capacity += sizes[c] if selfloop[c] else min(sizes[c], half)
+            total += sizes[c]
+        if capacity < length:
+            continue
+
+        budgets = sizes[:]
+        budgets[anchor] -= 1
+        path = [anchor]
+        total -= 1
+
+        def dfs(c, t, total):
+            budget.remaining -= 1
+            if budget.remaining < 0:
+                raise SearchBudgetExceeded(
+                    f"cycle search exceeded its node budget (length {length})"
+                )
+            if t == length:
+                return bool((qadj[c] >> anchor) & 1) or (c == anchor and selfloop[c])
+            remaining = length - t
+            if total < remaining:
+                return False
+            cand = qadj[c] & allowed
+            if selfloop[c]:
+                cand |= 1 << c
+            m = cand
+            while m:
+                low = m & -m
+                nxt = low.bit_length() - 1
+                m ^= low
+                if budgets[nxt] == 0 or dist[nxt] > remaining:
+                    continue
+                budgets[nxt] -= 1
+                path.append(nxt)
+                if dfs(nxt, t + 1, total - 1):
+                    return True
+                path.pop()
+                budgets[nxt] += 1
+            return False
+
+        if dfs(anchor, 1, total):
+            members = [iter(ms) for ms in classes]
+            return tuple(next(members[c]) for c in path)
+    return None
 
 
 def _pair_index(n):

@@ -10,8 +10,10 @@ from _oracles import (
     naive_wheel_through,
     random_graph,
     random_permutation,
+    reference_find_cycle_of_length,
 )
 from starwheel._cycles import (
+    DEFAULT_NODE_BUDGET,
     Budget,
     find_cycle_of_length,
     find_cycle_through,
@@ -122,6 +124,43 @@ class TestCycleSearch:
         with pytest.raises(SearchBudgetExceeded):
             has_cycle_of_length(grid, 15, node_budget=50)
         assert has_cycle_of_length(grid, 15) is None  # default budget suffices
+
+
+class TestReferenceCycleSearch:
+    """find_cycle_of_length against the per-class loop of _oracles: the same
+    witness and the same nodes drawn from the budget, hence the same point
+    of exhaustion."""
+
+    @staticmethod
+    def inputs():
+        rng = random.Random(67)
+        for _ in range(120):
+            g = random_graph(rng, rng.randrange(3, 13))
+            for length in range(3, g.n + 1):
+                yield g.rows, g.n, length
+        # the twin-heavy hub neighbourhoods contains_wheel searches when the
+        # witnesses are certified, in the host's labels
+        for n, m in [(5, 6), (6, 8), (7, 10)]:
+            h = lower_bound_witness(n, m).complement()
+            for nbrs in h.rows:
+                if nbrs.bit_count() >= m:
+                    hood = [row & nbrs if (nbrs >> v) & 1 else 0 for v, row in enumerate(h.rows)]
+                    for length in range(3, nbrs.bit_count() + 1):
+                        yield hood, h.n, length
+
+    def test_same_witness_and_nodes(self):
+        for rows, n, length in self.inputs():
+            ours, theirs = Budget(), Budget()
+            found = find_cycle_of_length(rows, n, length, ours)
+            assert found == reference_find_cycle_of_length(rows, n, length, theirs)
+            assert ours.remaining == theirs.remaining, (rows, length)
+            nodes = DEFAULT_NODE_BUDGET - ours.remaining
+            if nodes:
+                for search in (find_cycle_of_length, reference_find_cycle_of_length):
+                    short = Budget(nodes - 1)
+                    with pytest.raises(SearchBudgetExceeded):
+                        search(rows, n, length, short)
+                    assert short.remaining == -1
 
 
 class TestWheel:

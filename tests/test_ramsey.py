@@ -127,6 +127,37 @@ class TestGoodness:
         assert not verdict
         assert verdict.violation.validate(empty_graph(7).complement(), 6)
 
+    @pytest.mark.parametrize(
+        "n,m,pair,expected",
+        [
+            (17, 20, (32, 42), "exhausted"),
+            (17, 22, (13, 19), "exhausted"),
+            (28, 16, (1, 3), (1, (3, 34, 5, 35, 6, 36, 7, 37, 8, 38, 9, 39, 10, 40, 11, 41))),
+            (17, 16, (6, 8), (6, (0, 24, 1, 25, 2, 26, 8, 27, 10, 28, 11, 29, 12, 30, 13, 31))),
+            (29, 8, (36, 50), "good"),
+            (8, 12, (12, 19), "good"),
+        ],
+    )
+    def test_budgeted_verdicts_on_flipped_witnesses(self, n, m, pair, expected):
+        # flipped lower-bound witnesses whose wheel searches draw tens of
+        # thousands of nodes: the budget of 10**5 runs out on the first two
+        # and suffices on the rest, so the exhaustion boundary is pinned
+        rows = list(lower_bound_witness(n, m).rows)
+        u, v = pair
+        rows[u] ^= 1 << v
+        rows[v] ^= 1 << u
+        g = Graph(len(rows), rows)
+        if expected == "exhausted":
+            with pytest.raises(SearchBudgetExceeded):
+                is_good_coloring(g, n, m, node_budget=10**5)
+            return
+        verdict = is_good_coloring(g, n, m, node_budget=10**5)
+        if expected == "good":
+            assert verdict
+        else:
+            assert (verdict.violation.hub, verdict.violation.rim) == expected
+            assert verdict.violation.validate(g.complement(), m)
+
 
 class TestArrows:
     def test_counterexample_at_4_2_4(self):
