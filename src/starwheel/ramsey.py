@@ -11,8 +11,8 @@ The search space is pruned up front to max degree <= n-1 (degree >= n is
 itself the star certificate), and an enumeration subtree is abandoned as
 soon as the complement of its prefix graph contains W_m: induced
 subgraphs of the complement persist under extension, so nothing good is
-lost. Below the roots the test runs on raw rows before canonicity and
-looks only for wheels through the new vertex (see ``_scan_task``).
+lost. From the root on, the test runs on raw rows before canonicity and
+looks only for wheels through the new vertex (see ``_scan_hooks``).
 Enumeration order is fixed and documented (see enumeration), making
 reports reproducible byte for byte and independent of the worker count.
 """
@@ -154,10 +154,9 @@ class SearchReport:
 
 
 def _wheel_prune(n: int, m: int, order: int, node_budget):
-    """Subtree prune for the roots of the arrows scan, applied to canonical
-    graphs: a prefix whose complement already contains W_m cannot extend to
-    a good coloring. Never applied at the target order itself, where
-    goodness is tested (and counted) explicitly."""
+    """Unused by the scan (see ``_scan_hooks``). The benchmark tracer looks
+    it up by name when it installs its hooks, so it stays until the
+    benchmark change of ROADMAP item 2 deletes it."""
 
     def prune(g: Graph) -> bool:
         if g.n >= order or g.n <= m:
@@ -167,23 +166,17 @@ def _wheel_prune(n: int, m: int, order: int, node_budget):
     return prune
 
 
-def _scan_task(args):
-    """Scan one frontier subtree for a good coloring (worker-safe): the
-    count of target-order graphs tested, the first good one's rows or None,
-    and the canonical graphs kept per level. A SearchBudgetExceeded
-    propagates to the caller.
+def _scan_hooks(order: int, m: int, node_budget):
+    """The scan's per-level kept counts and its ``_extensions`` hooks
+    ``count`` and ``reject``, shared by the roots and every subtree.
 
-    Every parent met here has a W_m-free complement (the root passed the
-    root prune, each deeper parent the test below), so a child's complement
-    has a W_m iff it has one through the new vertex v. That is tested on
-    the child's raw rows before its canonicity test, at the levels the root
-    prune covers. The wheel found joins v in the complement only to the
-    parent vertices of its ``neighbourhood(v)``; every sibling that is not
-    adjacent to any of them has the same wheel, and ``_extensions`` drops
-    it untested. A child settled so, or by the insertion bound, draws no
-    ``node_budget`` nodes.
+    Every parent has a W_m-free complement (the root trivially, each deeper
+    parent by this test), so a child's complement has a W_m iff it has one
+    through the new vertex v. ``reject`` tests that on the child's raw rows,
+    with one ``node_budget`` per child. The wheel found joins v in the
+    complement only to the parent vertices of its ``neighbourhood(v)``, so
+    ``_extensions`` drops every sibling adjacent to none of them untested.
     """
-    root_rows, order, n, m, node_budget = args
     kept = [0] * (order + 1)
 
     def reject(rows):
@@ -199,6 +192,17 @@ def _scan_task(args):
         kept[len(rows)] += 1
         return False
 
+    return kept, count, reject
+
+
+def _scan_task(args):
+    """Scan one frontier subtree for a good coloring (worker-safe): the
+    count of target-order graphs tested, the first good one's rows or None,
+    and the canonical graphs kept per level. A SearchBudgetExceeded
+    propagates to the caller. Each target-order graph is tested in full.
+    """
+    root_rows, order, n, m, node_budget = args
+    kept, count, reject = _scan_hooks(order, m, node_budget)
     tested = 0
     for rows in _extensions(root_rows, order, n - 1, count, reject):
         tested += 1
@@ -224,17 +228,11 @@ def arrows(order: int, n: int, m: int, workers: int = 1, node_budget=None) -> Se
         raise ValueError(f"order must be >= 0, got {order}")
     started = time.perf_counter()
 
-    kept = [0] * (order + 1)
-    wheel = _wheel_prune(n, m, order, node_budget)
-
-    def prune(g: Graph) -> bool:
-        if wheel(g):
-            return True
-        kept[g.n] += 1
-        return False
-
-    roots = enumerate_degree_bounded(order if order <= 1 else min(6, order - 1), n - 1, prune=prune)
-    tasks = [(g.rows, order, n, m, node_budget) for g in roots]
+    # one scan task per kept canonical graph on ``split`` vertices
+    kept, count, reject = _scan_hooks(order, m, node_budget)
+    split = order if order <= 1 else min(6, order - 1)
+    roots = _extensions((0,) * min(order, 1), split, n - 1, count, reject)
+    tasks = [(rows, order, n, m, node_budget) for rows in roots]
 
     total = 0
     witness_rows = None
@@ -256,8 +254,8 @@ def arrows(order: int, n: int, m: int, workers: int = 1, node_budget=None) -> Se
             pool.shutdown(cancel_futures=True)
 
     elapsed = (time.perf_counter() - started) * 1000.0
-    # the root graph itself is no search result
-    survivors = {level: c for level, c in enumerate(kept) if c and level >= 2}
+    # children only: the root itself is never counted
+    survivors = {level: c for level, c in enumerate(kept) if c}
     if witness_rows is not None:
         witness = Graph._of(order, witness_rows)
         return SearchReport(n, m, order, "good-graph-found", total, elapsed, witness, survivors)

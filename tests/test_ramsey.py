@@ -11,7 +11,7 @@ from starwheel import ramsey
 from starwheel.construct import lower_bound_witness, theta
 from starwheel.core import Graph, complete, empty_graph, max_degree
 from starwheel.detect import SearchBudgetExceeded, StarWitness, contains_wheel, wheel_through
-from starwheel.enumeration import enumerate_degree_bounded, is_canonical
+from starwheel.enumeration import is_canonical
 from starwheel.ramsey import (
     EXACT,
     LOWER_ONLY,
@@ -206,6 +206,9 @@ class TestArrows:
             (11, 3, 8, {2: 2, 3: 4, 4: 7, 5: 11, 6: 19, 7: 29, 8: 46, 9: 24, 10: 5, 11: 5}),
             (13, 4, 7, {2: 2, 3: 4, 4: 11, 5: 23, 6: 62, 7: 150, 8: 279, 9: 182, 10: 34, 11: 1, 12: 1, 13: 1}),
             (13, 5, 6, {2: 2, 3: 4, 4: 11, 5: 34, 6: 122, 7: 462, 8: 1579, 9: 2863, 10: 1454, 11: 88, 12: 5, 13: 5}),
+            # m <= 5: the wheel prune already acts at the root levels
+            (13, 4, 5, {2: 2, 3: 4, 4: 11, 5: 23, 6: 54, 7: 77, 8: 70, 9: 19, 10: 6, 11: 1, 12: 1, 13: 1}),
+            (9, 3, 4, {2: 2, 3: 4, 4: 7, 5: 8, 6: 8, 7: 3, 8: 1, 9: 1}),
         ],
     )
     def test_survivors_per_level_pinned(self, order, n, m, survivors):
@@ -281,12 +284,23 @@ class TestArrows:
                 assert max_degree(report.witness) <= n - 1
                 assert not naive_contains_wheel(report.witness.complement(), m)
 
-    def test_budget_exhaustion_propagates(self):
-        # the level-6 roots survive this budget; a scan task runs out
-        roots = list(enumerate_degree_bounded(6, 3, prune=ramsey._wheel_prune(4, 6, 11, 50)))
-        assert roots
+    def test_budget_exhaustion_propagates(self, monkeypatch):
+        # the roots survive this budget; a scan task runs out, so the pooled
+        # test below sees the exception cross from a worker
+        scan = ramsey._scan_task
+        raised = []
+
+        def scan_task(args):
+            try:
+                return scan(args)
+            except SearchBudgetExceeded:
+                raised.append(args[0])
+                raise
+
+        monkeypatch.setattr(ramsey, "_scan_task", scan_task)
         with pytest.raises(SearchBudgetExceeded):
             arrows(11, 4, 6, node_budget=50)
+        assert raised
 
     def test_budget_exhaustion_propagates_from_pool(self):
         # in a subprocess, so that a pool that fails to shut down fails the timeout
