@@ -17,6 +17,21 @@ one bitmask of classes: its quotient row AND the classes with
 multiplicity left AND those whose BFS distance back to the anchor fits
 the steps left.
 
+Two exact bounds cut only subtrees that hold no cycle, so they change no
+answer and the walk's order, and only ever save nodes. Both are set up
+when the first anchor passes the capacity bound:
+
+- Block bound (Tarjan 1972): every cycle lies inside one block, so if
+  the largest block of the graph has fewer than L vertices there is none.
+- Separator bound (Chvatal 1973): take U0, the largest class of >= 2
+  pairwise non-adjacent twins, and T, the classes adjacent to it. A cycle
+  through t vertices of T falls into at most t paths in G - T, so if |T|
+  plus the |T| largest components of G - T have fewer than L vertices,
+  there is none. During the walk, each U0 vertex still to be placed
+  needs T vertices on both sides, so a node is cut when its steps left
+  outnumber the T and other vertices still free plus as many U0 vertices
+  as those T vertices can separate.
+
 ``find_cycle_through`` answers the narrower question the arrows scan asks
 of each new vertex, a cycle through one given vertex inside a vertex
 mask, by a plain walk on bitmasks of the host rows: no quotient, no
@@ -93,11 +108,129 @@ def _quotient(rows, classes):
     return step
 
 
+def blocks(rows, n: int):
+    """Tarjan's blocks: (each block as a vertex mask, in the order the DFS
+    closes them; the mask of cut vertices). Blocks are the maximal
+    2-connected subgraphs and the bridges; isolated vertices form none.
+
+    A vertex's neighbours seen when it is discovered are its DFS ancestors
+    (an undirected DFS has no cross edges), so its low point starts as
+    their least discovery time, the parent's included: a child u of p then
+    closes a block exactly when low[u] >= disc[p].
+    """
+    disc = [0] * n
+    low = [0] * n
+    seen = 0
+    clock = 0
+    out = []
+    cuts = 0
+    for root in range(n):
+        if (seen >> root) & 1 or not rows[root]:
+            continue
+        seen |= 1 << root
+        clock += 1
+        disc[root] = low[root] = clock
+        stack = [root]
+        opened = [root]  # discovered vertices whose block is still open
+        root_blocks = 0
+        while stack:
+            u = stack[-1]
+            fresh = rows[u] & ~seen
+            if fresh:
+                w = (fresh & -fresh).bit_length() - 1
+                seen |= 1 << w
+                clock += 1
+                disc[w] = least = clock
+                m = rows[w] & seen
+                while m:
+                    b = m & -m
+                    m ^= b
+                    d = disc[b.bit_length() - 1]
+                    if d < least:
+                        least = d
+                low[w] = least
+                stack.append(w)
+                opened.append(w)
+                continue
+            stack.pop()
+            if not stack:
+                break
+            p = stack[-1]
+            if low[u] < low[p]:
+                low[p] = low[u]
+            if low[u] >= disc[p]:
+                block = 1 << p
+                while True:
+                    x = opened.pop()
+                    block |= 1 << x
+                    if x == u:
+                        break
+                out.append(block)
+                if p == root:
+                    root_blocks += 1
+                else:
+                    cuts |= 1 << p
+        if root_blocks >= 2:
+            cuts |= 1 << root
+    return out, cuts
+
+
+def _separator_weights(rows, classes, step, length):
+    """Chvatal's separator count on the largest class U0 of >= 2 pairwise
+    non-adjacent twins, whose neighbours are exactly the classes T: each
+    U0 vertex on a cycle sits between two T vertices, so a cycle holds at
+    most as many U0 vertices as T vertices. Returns None when that already
+    rules out every cycle of ``length``, else each class's weight for the
+    walk's count: +1 in U0, -1 in T, 0 elsewhere (all 0 without a U0).
+
+    The static test: a cycle through t >= 1 vertices of T splits into at
+    most t paths, each inside a component of G - T, so it has at most |T|
+    plus the |T| largest components' vertices; a cycle avoiding T lies in
+    one component, and T is not empty.
+    """
+    k = len(classes)
+    weight = [0] * k
+    u0 = None
+    for c in range(k):
+        if len(classes[c]) >= 2 and not (step[c] >> c) & 1:
+            if u0 is None or len(classes[c]) > len(classes[u0]):
+                u0 = c
+    if u0 is None:
+        return weight
+    weight[u0] = 1
+    tverts = rest = 0
+    for c in range(k):
+        mask = sum(1 << v for v in classes[c])
+        if (step[u0] >> c) & 1:
+            weight[c] = -1
+            tverts |= mask
+        else:
+            rest |= mask
+    sizes = []
+    while rest:
+        comp = frontier = rest & -rest
+        while frontier:
+            layer = 0
+            while frontier:
+                low = frontier & -frontier
+                frontier ^= low
+                layer |= rows[low.bit_length() - 1]
+            frontier = layer & rest & ~comp
+            comp |= frontier
+        rest ^= comp
+        sizes.append(comp.bit_count())
+    t = tverts.bit_count()
+    sizes.sort(reverse=True)
+    return None if t + sum(sizes[:t]) < length else weight
+
+
 def find_cycle_of_length(rows, n: int, length: int, budget: Budget | None = None):
     """First cycle on exactly ``length`` distinct vertices, or None.
 
     Deterministic: anchors ascend, extensions ascend by class index, and
-    witnesses assign each class's vertices in increasing order.
+    witnesses assign each class's vertices in increasing order. The block
+    and separator bounds (see the module notes) may answer None before any
+    node is drawn from ``budget``.
     """
     if length < 3:
         raise ValueError(f"cycle length must be >= 3, got {length}")
@@ -111,6 +244,7 @@ def find_cycle_of_length(rows, n: int, length: int, budget: Budget | None = None
     k = len(classes)
     sizes = [len(ms) for ms in classes]
     half = length // 2
+    weight = None  # per class: +1 in U0, -1 in T, else 0 (see _separator_weights)
 
     for anchor in range(k):
         # within[r]: the classes >= anchor at BFS distance <= r from it
@@ -137,12 +271,33 @@ def find_cycle_of_length(rows, n: int, length: int, budget: Budget | None = None
             capacity += sizes[c] if (step[c] >> c) & 1 else min(sizes[c], half)
         if capacity < length:
             continue
+        if weight is None:
+            if max((b.bit_count() for b in blocks(rows, n)[0]), default=0) < length:
+                return None
+            weight = _separator_weights(rows, classes, step, length)
+            if weight is None:
+                return None
 
+        # slack: how many of reach's vertices the cycle leaves out; excess:
+        # U0's vertices left minus T's. A path from c back to the anchor
+        # takes at most t + [c and anchor both in T] of U0's u vertices, so
+        # the steps left need excess <= slack + [c and anchor both in T].
+        slack = -length
+        excess = 0
+        m = reach
+        while m:
+            low = m & -m
+            c = low.bit_length() - 1
+            m ^= low
+            slack += sizes[c]
+            excess += weight[c] * sizes[c]
+        excess -= weight[anchor]
+        limit = slack + (weight[anchor] < 0)
         budgets = sizes[:]
         budgets[anchor] -= 1
         path = []  # filled in reverse as a found cycle unwinds
 
-        def dfs(c, remaining, avail):
+        def dfs(c, remaining, avail, excess):
             # avail: classes with multiplicity left; remaining: steps to close
             budget.remaining -= 1
             if budget.remaining < 0:
@@ -151,19 +306,21 @@ def find_cycle_of_length(rows, n: int, length: int, budget: Budget | None = None
                 )
             if not remaining:
                 return (step[c] >> anchor) & 1
+            if excess > (limit if weight[c] < 0 else slack):
+                return False
             cand = step[c] & avail & within[remaining]
             while cand:
                 low = cand & -cand
                 cand ^= low
                 nxt = low.bit_length() - 1
                 budgets[nxt] -= 1
-                if dfs(nxt, remaining - 1, avail if budgets[nxt] else avail ^ low):
+                if dfs(nxt, remaining - 1, avail if budgets[nxt] else avail ^ low, excess - weight[nxt]):
                     path.append(nxt)
                     return True
                 budgets[nxt] += 1
             return False
 
-        if dfs(anchor, length - 1, -1 if budgets[anchor] else ~(1 << anchor)):
+        if dfs(anchor, length - 1, -1 if budgets[anchor] else ~(1 << anchor), excess):
             members = [iter(ms) for ms in classes]
             return tuple(next(members[c]) for c in [anchor] + path[::-1])
     return None

@@ -238,66 +238,12 @@ def is_bipartite(g: Graph):
 
 
 def _block_decomposition(g: Graph):
-    """Tarjan block decomposition: (blocks as vertex tuples, cut vertex set).
-
-    Blocks are the maximal 2-connected subgraphs and the bridges; isolated
-    vertices form no block.
+    """Block decomposition by ``_cycles.blocks``: (blocks as sorted vertex
+    tuples, in increasing order; cut vertex set). Blocks are the maximal
+    2-connected subgraphs and the bridges; isolated vertices form no block.
     """
-    disc = [-1] * g.n
-    low = [0] * g.n
-    cuts = set()
-    blocks = []
-    counter = 0
-    for root in range(g.n):
-        if disc[root] != -1:
-            continue
-        disc[root] = low[root] = counter
-        counter += 1
-        stack = [(root, -1, iter(_bits(g.rows[root])))]
-        edge_stack = []
-        root_children = 0
-        while stack:
-            u, parent, it = stack[-1]
-            advanced = False
-            for v in it:
-                if v == parent:
-                    continue
-                if disc[v] == -1:
-                    edge_stack.append((u, v))
-                    disc[v] = low[v] = counter
-                    counter += 1
-                    if u == root:
-                        root_children += 1
-                    stack.append((v, u, iter(_bits(g.rows[v]))))
-                    advanced = True
-                    break
-                if disc[v] < disc[u]:
-                    edge_stack.append((u, v))
-                    if disc[v] < low[u]:
-                        low[u] = disc[v]
-            if advanced:
-                continue
-            stack.pop()
-            if stack:
-                pu = stack[-1][0]
-                if low[u] < low[pu]:
-                    low[pu] = low[u]
-                if low[u] >= disc[pu]:
-                    # tree edge (pu, u) closes a block: pop it, inclusive
-                    verts = set()
-                    while True:
-                        a, b = edge_stack.pop()
-                        verts.add(a)
-                        verts.add(b)
-                        if (a, b) == (pu, u):
-                            break
-                    blocks.append(tuple(sorted(verts)))
-                    if pu != root:
-                        cuts.add(pu)
-        if root_children >= 2:
-            cuts.add(root)
-    blocks.sort()
-    return blocks, frozenset(cuts)
+    masks, cuts = _cycles.blocks(g.rows, g.n)
+    return sorted(tuple(_bits(b)) for b in masks), frozenset(_bits(cuts))
 
 
 def blocks(g: Graph) -> list:

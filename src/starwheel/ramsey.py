@@ -20,7 +20,6 @@ reports reproducible byte for byte and independent of the worker count.
 from __future__ import annotations
 
 import time
-from concurrent import futures
 from dataclasses import dataclass, field
 
 from .construct import lower_bound_witness, theta
@@ -236,7 +235,13 @@ def arrows(order: int, n: int, m: int, workers: int = 1, node_budget=None) -> Se
 
     total = 0
     witness_rows = None
-    pool = None if workers <= 1 or len(tasks) <= 1 else futures.ProcessPoolExecutor(min(workers, len(tasks)))
+    pool = None
+    if workers > 1 and len(tasks) > 1:
+        # imported here: it brings in logging and traceback, which a serial
+        # scan or a plain `import starwheel` never needs
+        from concurrent import futures
+
+        pool = futures.ProcessPoolExecutor(min(workers, len(tasks)))
     try:
         # both re-raise a task's SearchBudgetExceeded, in task order
         results = map(_scan_task, tasks) if pool is None else pool.map(_scan_task, tasks)

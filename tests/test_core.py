@@ -237,6 +237,8 @@ class TestAgainstNetworkx:
             assert len(components(g)) == nx.number_connected_components(h)
             assert (is_bipartite(g) is not None) == nx.is_bipartite(h)
             assert cut_vertices(g) == frozenset(nx.articulation_points(h))
+            # networkx counts K_2 as biconnected; a 2-connected graph here has >= 3 vertices
+            assert is_two_connected(g) == (g.n >= 3 and nx.is_biconnected(h))
             assert sorted(map(sorted, blocks(g))) == sorted(
                 sorted(b) for b in nx.biconnected_components(h) if len(b) >= 2
             )

@@ -4,6 +4,7 @@ from itertools import combinations
 import pytest
 
 from _oracles import (
+    code_to_graph,
     naive_contains_wheel,
     naive_cycle_spectrum,
     naive_has_cycle,
@@ -15,6 +16,7 @@ from _oracles import (
 from starwheel._cycles import (
     DEFAULT_NODE_BUDGET,
     Budget,
+    blocks,
     find_cycle_of_length,
     find_cycle_through,
     find_cycle_within,
@@ -127,9 +129,11 @@ class TestCycleSearch:
 
 
 class TestReferenceCycleSearch:
-    """find_cycle_of_length against the per-class loop of _oracles: the same
-    witness and the same nodes drawn from the budget, hence the same point
-    of exhaustion."""
+    """find_cycle_of_length against the per-class loop of _oracles, which
+    has neither the block nor the separator bound: the same witness, and
+    never more nodes drawn from the budget. The bounds only cut subtrees
+    without a cycle and keep the walk's order, so they can only save nodes.
+    """
 
     @staticmethod
     def inputs():
@@ -153,14 +157,85 @@ class TestReferenceCycleSearch:
             ours, theirs = Budget(), Budget()
             found = find_cycle_of_length(rows, n, length, ours)
             assert found == reference_find_cycle_of_length(rows, n, length, theirs)
-            assert ours.remaining == theirs.remaining, (rows, length)
+            assert ours.remaining >= theirs.remaining, (rows, length)
             nodes = DEFAULT_NODE_BUDGET - ours.remaining
             if nodes:
-                for search in (find_cycle_of_length, reference_find_cycle_of_length):
-                    short = Budget(nodes - 1)
-                    with pytest.raises(SearchBudgetExceeded):
-                        search(rows, n, length, short)
-                    assert short.remaining == -1
+                short = Budget(nodes - 1)
+                with pytest.raises(SearchBudgetExceeded):
+                    find_cycle_of_length(rows, n, length, short)
+                assert short.remaining == -1
+
+
+class TestCycleBounds:
+    """The block and separator bounds of find_cycle_of_length: exact (the
+    reference, which has neither, agrees on every answer and never draws
+    fewer nodes), and each one alone settles a family before any node."""
+
+    @staticmethod
+    def assert_no_worse_than_reference(rows, n, length):
+        ours, theirs = Budget(), Budget()
+        found = find_cycle_of_length(rows, n, length, ours)
+        assert found == reference_find_cycle_of_length(rows, n, length, theirs), (rows, length)
+        assert ours.remaining >= theirs.remaining, (rows, length)
+
+    @pytest.mark.parametrize(
+        "strides",
+        [
+            pytest.param({3: 1, 4: 1, 5: 1, 6: 13, 7: 997}, id="sampled"),
+            # 1,632,250 inputs, about 3 minutes
+            pytest.param({3: 1, 4: 1, 5: 1, 6: 1, 7: 7}, id="every-graph-to-order-6", marks=pytest.mark.slow),
+        ],
+    )
+    def test_small_labelled_graphs(self, strides):
+        # every stride-th labelled graph of each order, by edge code, at every length
+        for n, stride in strides.items():
+            for code in range(0, 1 << n * (n - 1) // 2, stride):
+                rows = code_to_graph(code, n).rows
+                for length in range(3, n + 1):
+                    self.assert_no_worse_than_reference(rows, n, length)
+
+    def test_joins_with_an_independent_set(self):
+        # the shape of the witnesses' complements: a small graph joined to
+        # an independent set, with up to two pairs flipped
+        rng = random.Random(71)
+        for _ in range(150):
+            small = random_graph(rng, rng.randrange(1, 7))
+            g = join(small, empty_graph(rng.randrange(2, 14 - small.n)))
+            rows = list(g.rows)
+            for _ in range(rng.randrange(3)):
+                u, v = rng.sample(range(g.n), 2)
+                rows[u] ^= 1 << v
+                rows[v] ^= 1 << u
+            for length in range(3, g.n + 1):
+                self.assert_no_worse_than_reference(rows, g.n, length)
+
+    def test_block_bound_alone(self):
+        # two K_{L-1} sharing a vertex: enough vertices and capacity for a
+        # C_L, but every block has L - 1 vertices. Its twin classes are all
+        # cliques, so the separator bound has no U0 to count.
+        for length in range(4, 9):
+            n = 2 * length - 3
+            left, right = range(length - 1), range(length - 2, n)
+            g = Graph.from_edges(n, list(combinations(left, 2)) + list(combinations(right, 2)))
+            assert all(len(ms) == 1 or g.has_edge(*ms[:2]) for ms in twin_classes(g.rows, n))
+            ours, theirs = Budget(), Budget()
+            assert find_cycle_of_length(g.rows, n, length, ours) is None
+            assert reference_find_cycle_of_length(g.rows, n, length, theirs) is None
+            assert ours.remaining == DEFAULT_NODE_BUDGET > theirs.remaining
+
+    def test_separator_bound_alone(self):
+        # K_t joined to an independent (t+2)-set with one edge inside it, at
+        # L = 2t + 2 = the order: 2-connected, so the block bound cannot
+        # help, but the t + 2 vertices of the set away from the edge each
+        # need two of the t clique vertices
+        for t in range(2, 6):
+            length = 2 * t + 2
+            g = join(complete(t), Graph.from_edges(t + 2, [(0, 1)]))
+            assert max(b.bit_count() for b in blocks(g.rows, g.n)[0]) == g.n == length
+            ours, theirs = Budget(), Budget()
+            assert find_cycle_of_length(g.rows, g.n, length, ours) is None
+            assert reference_find_cycle_of_length(g.rows, g.n, length, theirs) is None
+            assert ours.remaining == DEFAULT_NODE_BUDGET > theirs.remaining
 
 
 class TestWheel:
@@ -413,20 +488,22 @@ class TestDeterministicWitnesses:
     @pytest.mark.parametrize(
         "n,m,pair,hub,rim,nodes",
         [
-            (5, 6, (0, 3), 0, (1, 7, 2, 8, 3, 9), 10),
-            (6, 8, (2, 6), 2, (0, 8, 1, 9, 3, 10, 6, 11), 26),
-            (7, 10, (0, 6), 0, (1, 11, 2, 12, 3, 13, 4, 14, 6, 15), 66),
-            (7, 8, (5, 6), 5, (1, 10, 3, 11, 2, 12, 6, 13), 14),
-            (8, 12, (5, 9), 5, (0, 12, 1, 13, 2, 14, 3, 15, 4, 16, 9, 17), 162),
-            (9, 14, (6, 10), 6, (0, 15, 1, 16, 2, 17, 3, 18, 4, 19, 5, 20, 10, 21), 386),
-            (6, 8, (0, 12), None, None, 72),
-            (7, 10, (8, 15), None, None, 420),
-            (8, 10, (3, 17), None, None, 620),
+            (5, 6, (0, 3), 0, (1, 7, 2, 8, 3, 9), 7),
+            (6, 8, (2, 6), 2, (0, 8, 1, 9, 3, 10, 6, 11), 10),
+            (7, 10, (0, 6), 0, (1, 11, 2, 12, 3, 13, 4, 14, 6, 15), 13),
+            (7, 8, (5, 6), 5, (1, 10, 3, 11, 2, 12, 6, 13), 9),
+            (8, 12, (5, 9), 5, (0, 12, 1, 13, 2, 14, 3, 15, 4, 16, 9, 17), 16),
+            (9, 14, (6, 10), 6, (0, 15, 1, 16, 2, 17, 3, 18, 4, 19, 5, 20, 10, 21), 19),
+            (6, 8, (0, 12), None, None, 0),
+            (7, 10, (8, 15), None, None, 0),
+            (8, 10, (3, 17), None, None, 0),
         ],
     )
     def test_flipped_witness_wheels_and_their_work(self, n, m, pair, hub, rim, nodes):
         # one pair of the lower-bound witness toggled; the wheel search in its
-        # complement must return exactly this wheel and draw exactly `nodes` nodes
+        # complement must return exactly this wheel and draw exactly `nodes`
+        # nodes. The wheel-free ones are settled by the block and separator
+        # bounds before any node is drawn.
         rows = list(lower_bound_witness(n, m).rows)
         u, v = pair
         rows[u] ^= 1 << v
@@ -438,8 +515,9 @@ class TestDeterministicWitnesses:
         else:
             assert (found.hub, found.rim) == (hub, rim)
             assert found.validate(h, m)
-        with pytest.raises(SearchBudgetExceeded):
-            contains_wheel(h, m, node_budget=nodes - 1)
+        if nodes:
+            with pytest.raises(SearchBudgetExceeded):
+                contains_wheel(h, m, node_budget=nodes - 1)
 
     def test_budgeted_runs_agree_with_oracle_when_they_finish(self):
         rng = random.Random(79)

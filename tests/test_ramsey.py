@@ -130,8 +130,8 @@ class TestGoodness:
     @pytest.mark.parametrize(
         "n,m,pair,expected",
         [
-            (17, 20, (32, 42), "exhausted"),
-            (17, 22, (13, 19), "exhausted"),
+            (17, 20, (32, 42), "good"),
+            (17, 22, (13, 19), (13, (11, 27, 12, 28, 14, 29, 15, 30, 16, 31, 17, 32, 18, 33, 19, 34, 24, 35, 25, 36, 26, 37))),
             (28, 16, (1, 3), (1, (3, 34, 5, 35, 6, 36, 7, 37, 8, 38, 9, 39, 10, 40, 11, 41))),
             (17, 16, (6, 8), (6, (0, 24, 1, 25, 2, 26, 8, 27, 10, 28, 11, 29, 12, 30, 13, 31))),
             (29, 8, (36, 50), "good"),
@@ -139,24 +139,33 @@ class TestGoodness:
         ],
     )
     def test_budgeted_verdicts_on_flipped_witnesses(self, n, m, pair, expected):
-        # flipped lower-bound witnesses whose wheel searches draw tens of
-        # thousands of nodes: the budget of 10**5 runs out on the first two
-        # and suffices on the rest, so the exhaustion boundary is pinned
+        # flipped lower-bound witnesses under the budget of 10**5. The first
+        # two exhaust even 3 * 10**7 nodes without the cycle search's block
+        # and separator bounds; with them the first is settled before any
+        # node and the second finds its wheel in 58 nodes
         rows = list(lower_bound_witness(n, m).rows)
         u, v = pair
         rows[u] ^= 1 << v
         rows[v] ^= 1 << u
         g = Graph(len(rows), rows)
-        if expected == "exhausted":
-            with pytest.raises(SearchBudgetExceeded):
-                is_good_coloring(g, n, m, node_budget=10**5)
-            return
         verdict = is_good_coloring(g, n, m, node_budget=10**5)
         if expected == "good":
             assert verdict
         else:
             assert (verdict.violation.hub, verdict.violation.rim) == expected
             assert verdict.violation.validate(g.complement(), m)
+
+    def test_budget_still_runs_out_past_both_bounds(self):
+        # the (19, 18) witness with three pairs flipped, drawn by a seeded
+        # search for inputs that still exhaust: neither bound settles its
+        # hubs, 10**5 nodes run out, and only a budget of millions finds a
+        # wheel, so the exhaustion boundary stays pinned
+        rows = list(lower_bound_witness(19, 18).rows)
+        for u, v in [(37, 42), (27, 30), (8, 19)]:
+            rows[u] ^= 1 << v
+            rows[v] ^= 1 << u
+        with pytest.raises(SearchBudgetExceeded):
+            is_good_coloring(Graph(len(rows), rows), 19, 18, node_budget=10**5)
 
 
 class TestArrows:
@@ -315,6 +324,14 @@ class TestArrows:
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == b"exhausted\n"
+
+    def test_import_loads_no_pool_module(self):
+        # concurrent.futures pulls in logging and traceback; only a pooled
+        # scan needs it, so importing the library must not load it
+        script = "import sys, starwheel\nprint('concurrent.futures' in sys.modules)\n"
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == b"False\n"
 
     def test_pool_early_stop_does_not_hang(self):
         # a witness in the first subtree stops the pooled scan at once; each
