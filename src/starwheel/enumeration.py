@@ -35,6 +35,18 @@ prune such as the arrows scan's wheel test spares the canonicity proof of
 every child it drops. ``reject`` answers with a mask of parent vertices
 its reason rests on: a sibling whose neighbourhood misses that mask is
 dropped for the same reason, unbuilt and untested.
+
+Symmetry bound. An automorphism σ of the parent maps S to σ(S), and the
+ordering σ^-1(0), ..., σ^-1(k-1) ties the parent's words, so if σ(S) > S,
+or σ(S) beats rows[j] below some insertion position j, the child is not
+canonical (σ = identity is the insertion bound). The automorphisms come
+from the parent's own canonicity proof: when ``is_canonical`` accepts, it
+hands on its twin partition, whose transpositions are automorphisms, and
+the orderings its backtrack completed with every word tied. The child
+loop picks a twin only together with the next higher vertex of its class,
+checks the other automorphisms on each neighbourhood left, and drops the
+children they beat before ``reject`` or the canonicity test runs. Each
+proof travels with its graph, so a subtree's root needs no second test.
 """
 
 from __future__ import annotations
@@ -45,14 +57,19 @@ from .core import Graph
 __all__ = ["is_canonical", "canonical_form", "is_isomorphic", "enumerate_degree_bounded"]
 
 
-def _improvement(rows, n: int):
+def _improvement(rows, n: int, proof=None):
     """None iff this labeling lex-maximizes the column-word tuple; else the
     ``pos`` array (position of each vertex, -1 if unplaced) of the first
-    ordering prefix found whose words beat the labeling's."""
+    ordering prefix found whose words beat the labeling's. On None, a given
+    ``proof`` list gets the twin partition and the automorphisms the
+    backtrack met, as ``is_canonical`` describes."""
     if n <= 1:
+        if proof is not None:
+            proof += (list(range(n)), [])
         return None
     rep = twin_reps(rows, n)
     order = [0] * n  # order[i]: the vertex placed at position i
+    leaves = None if proof is None else []
 
     def attempt(depth, unplaced):
         # the length of the first prefix found that beats the target
@@ -77,6 +94,10 @@ def _improvement(rows, n: int):
             order[depth] = (beat & -beat).bit_length() - 1
             return depth + 1
         if depth == n - 1:
+            if tie and leaves is not None:
+                # every word ties the target: this ordering is an automorphism
+                order[depth] = tie.bit_length() - 1
+                leaves.append(order[:])
             return 0
         seen = 0
         while tie:
@@ -95,6 +116,16 @@ def _improvement(rows, n: int):
     # position 0 carries no word: every vertex ties there
     found = attempt(0, (1 << n) - 1)
     if not found:
+        if proof is not None:
+            identity = list(range(n))
+            maps = []
+            for leaf in leaves:
+                if leaf != identity:
+                    inverse = [0] * n
+                    for i, v in enumerate(leaf):
+                        inverse[v] = i
+                    maps.append(inverse)
+            proof += (rep, maps)
         return None
     pos = [-1] * n
     for i in range(found):
@@ -102,9 +133,15 @@ def _improvement(rows, n: int):
     return pos
 
 
-def is_canonical(rows, n: int) -> bool:
-    """True iff this labeling lex-maximizes the column-word tuple."""
-    return _improvement(rows, n) is None
+def is_canonical(rows, n: int, proof=None) -> bool:
+    """True iff this labeling lex-maximizes the column-word tuple.
+
+    When True and a ``proof`` list is given, two things the test already
+    has are appended to it: the twin partition (``_cycles.twin_reps``) and
+    a list of non-identity automorphisms, the orderings whose words all tie
+    the labeling's. Each is kept as its inverse map: an ordering that
+    places vertex order[i] at position i is stored as v -> i."""
+    return _improvement(rows, n, proof) is None
 
 
 def canonical_form(g: Graph) -> Graph:
@@ -127,11 +164,14 @@ def is_isomorphic(a: Graph, b: Graph) -> bool:
     return canonical_form(a) == canonical_form(b)
 
 
-def _candidates(rows, dmax: int):
+def _candidates(rows, dmax: int, twins=None):
     """The new vertex's neighbourhoods S worth trying on the nonempty prefix
     ``rows``, descending: at most ``dmax`` vertices, none of degree ``dmax``
     already, and none that the insertion bound rules out, that is, none
-    with S & (2^j - 1) > rows[j] & (2^j - 1) for some j.
+    with S & (2^j - 1) > rows[j] & (2^j - 1) for some j. Given the prefix's
+    twin partition ``twins`` (``twin_reps``), also none that holds a vertex
+    but not the next higher vertex of its twin class: swapping the two
+    would raise S.
 
     Bits are chosen from the top down. ``tight`` holds the j whose
     comparison is still tied on the bits chosen so far. Rows are symmetric,
@@ -139,10 +179,17 @@ def _candidates(rows, dmax: int):
     tied iff all of them are adjacent to p (else S beats rows[j] there), and
     a 0 leaves tied only those not adjacent to p."""
     k = len(rows)
-    unsaturated = 0
+    # needs[p]: the bits S must already hold to take p, that is, p's next
+    # higher twin; p's own bit, which S cannot hold yet, when p has degree dmax
+    needs = [0] * k
+    if twins is not None:
+        nearest = [0] * k
+        for v in range(k - 1, -1, -1):
+            needs[v] = nearest[twins[v]]
+            nearest[twins[v]] = 1 << v
     for v in range(k):
-        if rows[v].bit_count() < dmax:
-            unsaturated |= 1 << v
+        if rows[v].bit_count() >= dmax:
+            needs[v] = 1 << v
     out = []
 
     def descend(p, subset, room, tight):
@@ -150,7 +197,7 @@ def _candidates(rows, dmax: int):
             row = rows[p]
             if p + 1 < k:
                 tight |= 1 << (p + 1)
-            if room and (unsaturated >> p) & 1 and not tight & ~row:
+            if room and not needs[p] & ~subset and not tight & ~row:
                 descend(p - 1, subset | 1 << p, room - 1, tight)
             tight &= ~row
             p -= 1
@@ -160,10 +207,35 @@ def _candidates(rows, dmax: int):
     return out
 
 
-def _extensions(rows, order: int, dmax: int, prune=None, reject=None):
+def _moved_above(rows, subset, maps) -> bool:
+    """True iff some automorphism σ in ``maps`` (each a list v -> σ(v)) of
+    the canonical prefix ``rows`` proves the child with neighbourhood
+    ``subset`` non-canonical: σ(S) > S, or σ(S) beats rows[j] below some
+    insertion position j. ``subset`` must pass the insertion bound: then a
+    σ(S) < S can beat only the positions j up to the highest bit where σ(S)
+    and S differ, as above it σ(S) stays below S."""
+    for sigma in maps:
+        image = 0
+        m = subset
+        while m:
+            low = m & -m
+            image |= 1 << sigma[low.bit_length() - 1]
+            m ^= low
+        if image > subset:
+            return True
+        for j in range(1, (image ^ subset).bit_length()):
+            below = (1 << j) - 1
+            if image & below > rows[j] & below:
+                return True
+    return False
+
+
+def _extensions(rows, order: int, dmax: int, prune=None, reject=None, proof=None):
     """The canonical prefix ``rows`` itself once it has ``order`` vertices;
     else its canonical, kept children, descending by neighborhood bitmask,
-    each extended depth-first.
+    each extended depth-first. Each comes as (rows, proof), with the proof
+    ``is_canonical`` recorded for it. ``proof`` is the prefix's own; None
+    leaves its children to the insertion bound alone.
 
     ``reject(child)`` sees every child's raw rows before the canonicity
     test and answers with a bitmask of parent vertices, 0 to keep the
@@ -175,12 +247,15 @@ def _extensions(rows, order: int, dmax: int, prune=None, reject=None):
     """
     k = len(rows)
     if k == order:
-        yield rows
+        yield rows, proof
         return
+    twins, maps = proof or (None, ())
     bit_k = 1 << k
     blocked = []
-    for subset in _candidates(rows, dmax):
+    for subset in _candidates(rows, dmax, twins):
         if any(not subset & t for t in blocked):
+            continue
+        if maps and _moved_above(rows, subset, maps):
             continue
         child = list(rows)
         child.append(subset)
@@ -195,10 +270,11 @@ def _extensions(rows, order: int, dmax: int, prune=None, reject=None):
             if t:
                 blocked.append(t)
                 continue
-        if not is_canonical(child, k + 1):
+        child_proof = []
+        if not is_canonical(child, k + 1, child_proof):
             continue
         if prune is None or not prune(child):
-            yield from _extensions(child, order, dmax, prune, reject)
+            yield from _extensions(child, order, dmax, prune, reject, child_proof)
 
 
 def enumerate_degree_bounded(order: int, dmax: int, prune=None):
@@ -217,5 +293,5 @@ def enumerate_degree_bounded(order: int, dmax: int, prune=None):
     root = (0,) * min(order, 1)
     on_rows = None if prune is None else lambda rows: prune(Graph._of(len(rows), rows))
     if on_rows is None or not on_rows(root):
-        for rows in _extensions(root, order, dmax, on_rows):
+        for rows, _ in _extensions(root, order, dmax, on_rows):
             yield Graph._of(order, rows)

@@ -199,11 +199,13 @@ def _scan_task(args):
     count of target-order graphs tested, the first good one's rows or None,
     and the canonical graphs kept per level. A SearchBudgetExceeded
     propagates to the caller. Each target-order graph is tested in full.
+    The root comes with the proof its canonicity test recorded, so it is
+    not tested again.
     """
-    root_rows, order, n, m, node_budget = args
+    root_rows, root_proof, order, n, m, node_budget = args
     kept, count, reject = _scan_hooks(order, m, node_budget)
     tested = 0
-    for rows in _extensions(root_rows, order, n - 1, count, reject):
+    for rows, _ in _extensions(root_rows, order, n - 1, count, reject, root_proof):
         tested += 1
         if contains_wheel(Graph._of(order, rows).complement(), m, node_budget) is None:
             return tested, rows, kept
@@ -231,7 +233,7 @@ def arrows(order: int, n: int, m: int, workers: int = 1, node_budget=None) -> Se
     kept, count, reject = _scan_hooks(order, m, node_budget)
     split = order if order <= 1 else min(6, order - 1)
     roots = _extensions((0,) * min(order, 1), split, n - 1, count, reject)
-    tasks = [(rows, order, n, m, node_budget) for rows in roots]
+    tasks = [(rows, proof, order, n, m, node_budget) for rows, proof in roots]
 
     total = 0
     witness_rows = None

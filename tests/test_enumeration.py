@@ -12,10 +12,11 @@ from _oracles import (
     reference_improvement,
 )
 from starwheel.construct import lower_bound_witness
-from starwheel.core import max_degree
+from starwheel.core import Graph, complete, cycle, max_degree
 from starwheel.enumeration import (
     _candidates,
     _improvement,
+    _moved_above,
     canonical_form,
     enumerate_degree_bounded,
     is_canonical,
@@ -68,6 +69,26 @@ class TestCanonicalForm:
             b = random_graph(rng, n)
             assert is_isomorphic(a, b) == brute_isomorphic(a, b)
             assert is_isomorphic(a, a.relabel(random_permutation(rng, n)))
+
+
+def _proof(rows, n):
+    """The twin partition and automorphisms is_canonical records for the
+    canonical labeling ``rows``."""
+    proof = []
+    assert is_canonical(rows, n, proof), rows
+    twins, maps = proof
+    return twins, maps
+
+
+def _twin_closed(rows, k, nbrs):
+    """For every twin pair u < v, found pairwise, ``nbrs`` holds u only
+    together with v."""
+    return all(
+        (nbrs >> v) & 1 or not (nbrs >> u) & 1
+        for u in range(k)
+        for v in range(u + 1, k)
+        if not (rows[u] ^ rows[v]) & ~(1 << u | 1 << v)
+    )
 
 
 def _check_improvement(rows, n):
@@ -182,7 +203,8 @@ class TestEnumeration:
         skipped = 0
         for k in range(1, 8):
             for g in corpus_by_order[k]:
-                tried = _candidates(g.rows, k)  # no vertex reaches degree k
+                twins, _ = _proof(g.rows, k)
+                tried = _candidates(g.rows, k, twins)  # no vertex reaches degree k
                 assert tried == sorted(set(tried), reverse=True)
                 assert set(tried) <= set(range(1 << k))
                 for nbrs in set(range(1 << k)).difference(tried):
@@ -190,12 +212,13 @@ class TestEnumeration:
                     child += (nbrs,)
                     assert not is_canonical(child, k + 1), (g.rows, nbrs)
                     skipped += 1
-        assert skipped >= 111232
+        assert skipped >= SKIPPED_UP_TO_SEVEN
 
     @pytest.mark.parametrize("dmax", [1, 2, 3, None])
     def test_candidates_follow_their_definition(self, corpus_by_order, dmax):
         # the top-down walk gives exactly the capped neighbourhoods that no
-        # insertion position beats, descending
+        # insertion position beats, descending; given the twin partition,
+        # exactly those of them that hold each twin only with its higher twins
         for k in range(1, 8):
             for g in corpus_by_order[k]:
                 cap = k if dmax is None else dmax
@@ -206,9 +229,98 @@ class TestEnumeration:
                     and all(nbrs & ((1 << j) - 1) <= g.rows[j] & ((1 << j) - 1) for j in range(k))
                 ]
                 assert _candidates(g.rows, cap) == expected, (g.rows, cap)
+                twins, _ = _proof(g.rows, k)
+                closed = [nbrs for nbrs in expected if _twin_closed(g.rows, k, nbrs)]
+                assert _candidates(g.rows, cap, twins) == closed, (g.rows, cap)
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
             list(enumerate_degree_bounded(-1, 2))
         with pytest.raises(ValueError):
             list(enumerate_degree_bounded(3, -1))
+
+
+# children of the canonical graphs of order 1..7 that the insertion and twin
+# bounds leave out, every neighbourhood counted
+SKIPPED_UP_TO_SEVEN = 120261
+# of the children the insertion bound keeps, those the symmetry bound drops
+DROPPED_UP_TO_SEVEN = 14263
+
+
+def _check_symmetry_bound(rows, k, rng=None, sample=None):
+    """Every map recorded for the canonical ``rows`` is a non-identity
+    automorphism, and every neighbourhood that passes the insertion bound
+    but not the symmetry bound (the twin condition or a recorded map) gives
+    a child that the reference backtrack rejects; with ``rng``, only a
+    ``sample`` of those children meets the backtrack. Returns (maps, dropped)."""
+    twins, maps = _proof(rows, k)
+    g = Graph(k, rows)
+    for sigma in maps:
+        assert sigma != list(range(k)) and g.relabel(sigma) == g, (rows, sigma)
+    kept = set(_candidates(rows, k, twins))
+    dropped = [
+        nbrs for nbrs in _candidates(rows, k) if nbrs not in kept or _moved_above(rows, nbrs, maps)
+    ]
+    checked = dropped if rng is None or len(dropped) <= sample else rng.sample(dropped, sample)
+    for nbrs in checked:
+        child = tuple(row | (nbrs >> u & 1) << k for u, row in enumerate(rows)) + (nbrs,)
+        assert reference_improvement(child, k + 1) is not None, (rows, nbrs)
+    return len(maps), len(dropped)
+
+
+def _symmetric_graph(rng):
+    """A seeded graph on 2..12 vertices with automorphisms beyond its twins:
+    a circulant, copies of a small graph, or a graph with duplicated
+    vertices, each complemented at random."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        n = rng.randrange(3, 13)
+        steps = [d for d in range(1, n // 2 + 1) if rng.random() < 0.5]
+        g = Graph.from_edges(n, [(v, (v + d) % n) for v in range(n) for d in steps])
+    elif kind == 1:
+        h = random_graph(rng, rng.randrange(1, 5))
+        g = h
+        for _ in range(rng.randrange(1, 12 // h.n)):
+            g = g.disjoint_union(h)
+    else:
+        g = random_graph(rng, rng.randrange(2, 8))
+        while g.n < 12 and rng.random() < 0.8:
+            v = rng.randrange(g.n)
+            adjacent = rng.random() < 0.5  # a true twin, else a false one
+            rows = list(g.rows) + [g.rows[v] | (1 << v if adjacent else 0)]
+            for u in range(g.n):
+                if (rows[-1] >> u) & 1:
+                    rows[u] |= 1 << g.n
+            g = Graph(g.n + 1, rows)
+    return g.complement() if rng.random() < 0.5 else g
+
+
+class TestSymmetryBound:
+    def test_every_graph_up_to_seven_vertices(self, corpus_by_order):
+        total_maps = dropped = 0
+        for k in range(1, 8):
+            for g in corpus_by_order[k]:
+                maps, skipped = _check_symmetry_bound(g.rows, k)
+                total_maps += maps
+                dropped += skipped
+        assert total_maps > 0
+        assert dropped == DROPPED_UP_TO_SEVEN
+
+    def test_seeded_symmetric_graphs_up_to_twelve(self):
+        rng = random.Random(89)
+        total_maps = dropped = 0
+        for _ in range(200):
+            g = canonical_form(_symmetric_graph(rng))
+            maps, skipped = _check_symmetry_bound(g.rows, g.n, rng, 20)
+            total_maps += maps
+            dropped += skipped
+        assert total_maps > 0 and dropped > 0
+
+    @pytest.mark.parametrize("g", [cycle(8), complete(5), complete(3).disjoint_union(complete(3))])
+    def test_named_graphs(self, g):
+        cf = canonical_form(g)
+        _check_symmetry_bound(cf.rows, cf.n)
+
+    def test_trivial_orders(self):
+        for n in range(2):
+            assert _proof((0,) * n, n) == (list(range(n)), [])

@@ -7,7 +7,7 @@ import pytest
 
 import starwheel
 from _oracles import naive_contains_wheel
-from starwheel import ramsey
+from starwheel import enumeration, ramsey
 from starwheel.construct import lower_bound_witness, theta
 from starwheel.core import Graph, complete, empty_graph, max_degree
 from starwheel.detect import SearchBudgetExceeded, StarWitness, contains_wheel, wheel_through
@@ -224,6 +224,23 @@ class TestArrows:
         # canonical graphs the wheel prune keeps, per level; any change to
         # pruning or canonicity that drops or adds a subtree moves these
         assert arrows(order, n, m).survivors == survivors
+
+    def test_canonicity_calls_pinned(self, monkeypatch):
+        # the symmetry bound cuts the canonicity tests of the order-13 scan
+        # of R(K_{1,4}, W_7) = 13 from 1,676 to 1,069; losing it moves the
+        # calls, not the survivors
+        calls = []
+        test = enumeration.is_canonical
+
+        def counted(*args):
+            accepted = test(*args)
+            calls.append(accepted)
+            return accepted
+
+        monkeypatch.setattr(enumeration, "is_canonical", counted)
+        report = arrows(13, 4, 7)
+        assert report.survivors[8] == 279
+        assert (len(calls), sum(calls)) == (1069, 750)
 
     @pytest.mark.slow
     def test_survivors_per_level_pinned_at_5_8(self):
