@@ -32,9 +32,26 @@ for any j, the child is not canonical (insertion bound), and the child
 loop never builds it. Each remaining child meets a caller's
 labeling-free ``reject`` test before the canonicity test, so a hereditary
 prune such as the arrows scan's wheel test spares the canonicity proof of
-every child it drops. ``reject`` answers with a mask of parent vertices
-its reason rests on: a sibling whose neighbourhood misses that mask is
-dropped for the same reason, unbuilt and untested.
+every child it drops.
+
+Sibling rules. A child dropped for a reason that rests on a few parent
+vertices vouches for its later siblings: the child loop keeps each reason
+as a pair (mask, trace) and drops, unbuilt and untested, every sibling
+whose neighbourhood S' has S' & mask == trace. The wheel rule is (t, 0):
+``reject`` answers with a mask t of parent vertices such that every
+sibling missing t is rejected for the same reason (the arrows scan's
+complement wheel meets the new vertex only through its non-edges to t,
+which every such sibling keeps). The canonicity rule is (need, need): a
+rejected child's canonicity test names an ordering prefix whose words
+beat the labeling's at its last position. When that position lies below the new
+vertex's position k, the target words it is compared with do not depend
+on S, and on any sibling with S' & prefix holding need = S & prefix the
+prefix's words only gain bits, so the same prefix beats that sibling too
+(R. C. Read's "Every one a winner" argument). Every beating prefix of a
+child of a canonical parent holds the new vertex, as prefixes of parent
+vertices alone tie the parent at best; the canonicity test therefore tries
+the new vertex first among each node's ties, so rejections end shallow,
+on small masks that many siblings share.
 
 Symmetry bound. An automorphism σ of the parent maps S to σ(S), and the
 ordering σ^-1(0), ..., σ^-1(k-1) ties the parent's words, so if σ(S) > S,
@@ -60,14 +77,16 @@ __all__ = ["is_canonical", "canonical_form", "is_isomorphic", "enumerate_degree_
 def _improvement(rows, n: int, proof=None):
     """None iff this labeling lex-maximizes the column-word tuple; else the
     ``pos`` array (position of each vertex, -1 if unplaced) of the first
-    ordering prefix found whose words beat the labeling's. On None, a given
-    ``proof`` list gets the twin partition and the automorphisms the
-    backtrack met, as ``is_canonical`` describes."""
+    ordering prefix found whose words beat the labeling's. Each node fails
+    at its lowest beating vertex, else tries its ties with the last vertex
+    first and the rest ascending. A given ``proof`` list gets what
+    ``is_canonical`` describes."""
     if n <= 1:
         if proof is not None:
             proof += (list(range(n)), [])
         return None
     rep = twin_reps(rows, n)
+    last = 1 << (n - 1)
     order = [0] * n  # order[i]: the vertex placed at position i
     leaves = None if proof is None else []
 
@@ -99,9 +118,10 @@ def _improvement(rows, n: int, proof=None):
                 order[depth] = tie.bit_length() - 1
                 leaves.append(order[:])
             return 0
+        # the new (last) vertex first, then ascending (see "Sibling rules")
         seen = 0
         while tie:
-            low = tie & -tie
+            low = tie & last or tie & -tie
             tie ^= low
             u = low.bit_length() - 1
             if (seen >> rep[u]) & 1:
@@ -130,6 +150,8 @@ def _improvement(rows, n: int, proof=None):
     pos = [-1] * n
     for i in range(found):
         pos[order[i]] = i
+    if proof is not None:
+        proof.append(sum(1 << order[i] for i in range(found)))
     return pos
 
 
@@ -140,7 +162,12 @@ def is_canonical(rows, n: int, proof=None) -> bool:
     has are appended to it: the twin partition (``_cycles.twin_reps``) and
     a list of non-identity automorphisms, the orderings whose words all tie
     the labeling's. Each is kept as its inverse map: an ordering that
-    places vertex order[i] at position i is stored as v -> i."""
+    places vertex order[i] at position i is stored as v -> i.
+
+    When False and a ``proof`` list is given, the vertex mask of the
+    ordering prefix that beats the labeling is appended: the vertices at
+    positions 0..p, where p, one less than the mask's popcount, is the
+    position at which the prefix's word beats the labeling's."""
     return _improvement(rows, n, proof) is None
 
 
@@ -237,13 +264,15 @@ def _extensions(rows, order: int, dmax: int, prune=None, reject=None, proof=None
     ``is_canonical`` recorded for it. ``proof`` is the prefix's own; None
     leaves its children to the insertion bound alone.
 
-    ``reject(child)`` sees every child's raw rows before the canonicity
-    test and answers with a bitmask of parent vertices, 0 to keep the
-    child. A nonzero mask drops the child and vouches for its siblings:
-    every sibling whose neighbourhood misses the mask would be dropped too,
-    so none of them is built. ``reject`` must therefore not depend on the
-    labeling. ``prune(child)`` sees only the canonical children; True drops
-    the child and its subtree.
+    A dropped child vouches for its later siblings by a pair (mask,
+    trace): no sibling whose neighbourhood S has S & mask == trace is
+    built. ``reject(child)`` sees every child's raw rows before the
+    canonicity test and answers with a bitmask t of parent vertices, 0 to
+    keep the child; a nonzero t drops the child and adds (t, 0), so
+    ``reject`` must not depend on the labeling. A child the canonicity
+    test rejects at a position below its new vertex k adds (need, need),
+    need = S & the beating prefix's vertex mask. ``prune(child)`` sees only
+    the canonical children; True drops the child and its subtree.
     """
     k = len(rows)
     if k == order:
@@ -251,9 +280,9 @@ def _extensions(rows, order: int, dmax: int, prune=None, reject=None, proof=None
         return
     twins, maps = proof or (None, ())
     bit_k = 1 << k
-    blocked = []
+    blocked = []  # (mask, trace): drop every later S with S & mask == trace
     for subset in _candidates(rows, dmax, twins):
-        if any(not subset & t for t in blocked):
+        if any(subset & mask == trace for mask, trace in blocked):
             continue
         if maps and _moved_above(rows, subset, maps):
             continue
@@ -268,10 +297,14 @@ def _extensions(rows, order: int, dmax: int, prune=None, reject=None, proof=None
         if reject is not None:
             t = reject(child)
             if t:
-                blocked.append(t)
+                blocked.append((t, 0))
                 continue
         child_proof = []
         if not is_canonical(child, k + 1, child_proof):
+            placed = child_proof[0]
+            if placed.bit_count() <= k:
+                need = subset & placed
+                blocked.append((need, need))
             continue
         if prune is None or not prune(child):
             yield from _extensions(child, order, dmax, prune, reject, child_proof)

@@ -87,7 +87,10 @@ def reference_improvement(rows, n: int):
     None iff the labeling lex-maximizes the column-word tuple, else the
     position of each vertex (-1 if unplaced) in the first ordering prefix
     found, in the same backtrack order, whose words beat the labeling's.
-    Twins (rows equal outside the pair) are found pairwise here."""
+    Each node fails at its lowest beating vertex, else tries its ties with
+    the last vertex first and the rest ascending, one per twin class in
+    that order. Twins (rows equal outside the pair) are found pairwise
+    here."""
     if n <= 1:
         return None
     rep = [
@@ -99,8 +102,7 @@ def reference_improvement(rows, n: int):
     def attempt(depth, placed_mask, unplaced):
         # True = no ordering in this subtree beats the target labeling
         target = rows[depth] & ((1 << depth) - 1)
-        ties = []
-        seen = set()
+        tied = []
         for u in range(n):
             if not (unplaced >> u) & 1:
                 continue
@@ -111,12 +113,17 @@ def reference_improvement(rows, n: int):
             if w > target:
                 pos[u] = depth
                 return False
-            if w == target and rep[u] not in seen:
+            if w == target:
+                tied.append(u)
+        if depth == n - 1:
+            return True
+        ties = []
+        seen = set()
+        for u in sorted(tied, key=lambda u: u != n - 1):
+            if rep[u] not in seen:
                 # unplaced twins have equal words: one per class suffices
                 seen.add(rep[u])
                 ties.append(u)
-        if depth == n - 1:
-            return True
         for u in ties:
             pos[u] = depth
             if not attempt(depth + 1, placed_mask | 1 << u, unplaced & ~(1 << u)):

@@ -80,6 +80,11 @@ def _proof(rows, n):
     return twins, maps
 
 
+def _child(rows, k, nbrs):
+    """The rows of ``rows`` plus a new vertex k with neighbourhood ``nbrs``."""
+    return tuple(row | (nbrs >> u & 1) << k for u, row in enumerate(rows)) + (nbrs,)
+
+
 def _twin_closed(rows, k, nbrs):
     """For every twin pair u < v, found pairwise, ``nbrs`` holds u only
     together with v."""
@@ -114,8 +119,7 @@ class TestImprovement:
         for k in range(1, 7):
             for g in corpus_by_order[k]:
                 for nbrs in range(1 << k):
-                    child = tuple(row | (nbrs >> u & 1) << k for u, row in enumerate(g.rows))
-                    _check_improvement(child + (nbrs,), k + 1)
+                    _check_improvement(_child(g.rows, k, nbrs), k + 1)
 
     def test_random_graphs(self):
         rng = random.Random(79)
@@ -208,9 +212,7 @@ class TestEnumeration:
                 assert tried == sorted(set(tried), reverse=True)
                 assert set(tried) <= set(range(1 << k))
                 for nbrs in set(range(1 << k)).difference(tried):
-                    child = tuple(row | (nbrs >> u & 1) << k for u, row in enumerate(g.rows))
-                    child += (nbrs,)
-                    assert not is_canonical(child, k + 1), (g.rows, nbrs)
+                    assert not is_canonical(_child(g.rows, k, nbrs), k + 1), (g.rows, nbrs)
                     skipped += 1
         assert skipped >= SKIPPED_UP_TO_SEVEN
 
@@ -244,7 +246,7 @@ class TestEnumeration:
 # bounds leave out, every neighbourhood counted
 SKIPPED_UP_TO_SEVEN = 120261
 # of the children the insertion bound keeps, those the symmetry bound drops
-DROPPED_UP_TO_SEVEN = 14263
+DROPPED_UP_TO_SEVEN = 15227
 
 
 def _check_symmetry_bound(rows, k, rng=None, sample=None):
@@ -263,8 +265,7 @@ def _check_symmetry_bound(rows, k, rng=None, sample=None):
     ]
     checked = dropped if rng is None or len(dropped) <= sample else rng.sample(dropped, sample)
     for nbrs in checked:
-        child = tuple(row | (nbrs >> u & 1) << k for u, row in enumerate(rows)) + (nbrs,)
-        assert reference_improvement(child, k + 1) is not None, (rows, nbrs)
+        assert reference_improvement(_child(rows, k, nbrs), k + 1) is not None, (rows, nbrs)
     return len(maps), len(dropped)
 
 
@@ -324,3 +325,35 @@ class TestSymmetryBound:
     def test_trivial_orders(self):
         for n in range(2):
             assert _proof((0,) * n, n) == (list(range(n)), [])
+
+
+# children of the canonical graphs of order 1..7, past the insertion bound,
+# that the prefix of a rejected sibling proves non-canonical
+COVERED_UP_TO_SEVEN = 10977
+
+
+class TestRejectionSiblings:
+    def test_every_graph_up_to_seven_vertices(self, corpus_by_order):
+        # a child rejected with a beat below the new vertex's position k
+        # records the vertices the beating prefix placed; every sibling that
+        # holds the child's neighbourhood on that prefix is beaten by it too
+        covered = 0
+        for k in range(1, 8):
+            for g in corpus_by_order[k]:
+                candidates = _candidates(g.rows, k)
+                beaten = set()
+                for nbrs in candidates:
+                    child = _child(g.rows, k, nbrs)
+                    proof = []
+                    if is_canonical(child, k + 1, proof):
+                        continue
+                    (placed,) = proof
+                    pos = _improvement(child, k + 1)
+                    assert placed == sum(1 << v for v, p in enumerate(pos) if p >= 0), (g.rows, nbrs)
+                    if placed.bit_count() <= k:
+                        need = nbrs & placed
+                        beaten.update(s for s in candidates if s & need == need and s != nbrs)
+                for nbrs in beaten:
+                    assert reference_improvement(_child(g.rows, k, nbrs), k + 1) is not None, (g.rows, nbrs)
+                covered += len(beaten)
+        assert covered == COVERED_UP_TO_SEVEN

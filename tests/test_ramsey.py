@@ -1,4 +1,5 @@
 import ast
+import multiprocessing
 import subprocess
 import sys
 from pathlib import Path
@@ -227,8 +228,9 @@ class TestArrows:
 
     def test_canonicity_calls_pinned(self, monkeypatch):
         # the symmetry bound cuts the canonicity tests of the order-13 scan
-        # of R(K_{1,4}, W_7) = 13 from 1,676 to 1,069; losing it moves the
-        # calls, not the survivors
+        # of R(K_{1,4}, W_7) = 13 from 1,676 to 1,069, and the siblings a
+        # rejection vouches for cut them to 958; losing either moves the
+        # rejected calls, not the accepted ones or the survivors
         calls = []
         test = enumeration.is_canonical
 
@@ -240,7 +242,7 @@ class TestArrows:
         monkeypatch.setattr(enumeration, "is_canonical", counted)
         report = arrows(13, 4, 7)
         assert report.survivors[8] == 279
-        assert (len(calls), sum(calls)) == (1069, 750)
+        assert (len(calls), sum(calls)) == (958, 750)
 
     @pytest.mark.slow
     def test_survivors_per_level_pinned_at_5_8(self):
@@ -259,6 +261,28 @@ class TestArrows:
         pooled = arrows(order, n, m, workers=2)
         assert serial.survivors and serial.survivors == pooled.survivors
         assert serial.to_line() == pooled.to_line()
+
+    @pytest.mark.parametrize("order,n,m", [(11, 4, 6), (10, 4, 6)])
+    def test_spawned_workers_agree_with_serial(self, monkeypatch, order, n, m):
+        # spawned workers share no memory with the parent: each task must
+        # carry its root's rows and proof (twin partition, maps) by pickle
+        from concurrent import futures
+
+        pool = futures.ProcessPoolExecutor
+        spawn = multiprocessing.get_context("spawn")
+        pools = []
+
+        def spawning(workers):
+            pools.append(pool(workers, mp_context=spawn))
+            return pools[-1]
+
+        monkeypatch.setattr(futures, "ProcessPoolExecutor", spawning)
+        serial = arrows(order, n, m, workers=1)
+        spawned = arrows(order, n, m, workers=2)
+        assert len(pools) == 1
+        assert serial.survivors and serial.survivors == spawned.survivors
+        assert serial.to_line() == spawned.to_line()
+        assert serial.witness == spawned.witness
 
     @pytest.mark.parametrize("order,n,m", [(9, 4, 4), (11, 4, 6), (11, 3, 8), (13, 4, 7)])
     def test_new_vertex_wheel_is_exact(self, order, n, m):
