@@ -34,8 +34,10 @@ when the first anchor passes the capacity bound:
 
 ``find_cycle_through`` answers the narrower question the arrows scan asks
 of each new vertex, a cycle through one given vertex inside a vertex
-mask, by a plain walk on bitmasks of the host rows: no quotient, no
-relabelling. ``find_cycle_within`` anchors it at each vertex in turn.
+mask, by a plain DFS on bitmasks of the host rows: no quotient, no
+relabelling, no core peel and no distance layers: on the scan's small
+masks, pruning that cuts only dead branches costs more than it saves.
+``find_cycle_within`` anchors it at each vertex in turn.
 """
 
 from __future__ import annotations
@@ -330,51 +332,26 @@ def find_cycle_through(rows, v: int, allowed: int, length: int, budget: Budget):
     """First cycle on exactly ``length`` vertices through v inside the
     vertex mask ``allowed``, or None.
 
-    ``allowed`` is first peeled to its 2-core, which holds every cycle; the
-    walk from v then extends by ascending vertex, only to vertices whose
-    BFS distance back to v fits the steps left, and closes each cycle in
-    one direction only (second vertex below the last).
+    A plain DFS from v: it extends by ascending vertex inside ``allowed``
+    and closes each cycle in one direction only, at a neighbour of v above
+    the path's second vertex. Each call of the walk draws one node from
+    ``budget``; when v is not in ``allowed``, or ``allowed`` holds fewer
+    than ``length`` vertices, the answer is None and none is drawn.
     """
-    while True:
-        core = allowed
-        m = allowed
-        while m:
-            low = m & -m
-            m ^= low
-            if (rows[low.bit_length() - 1] & allowed).bit_count() < 2:
-                core ^= low
-        if core == allowed:
-            break
-        allowed = core
-    if not (allowed >> v) & 1:
+    if not (allowed >> v) & 1 or allowed.bit_count() < length:
         return None
-    # near[d]: vertices within distance d of v, for d = 0 .. length - 1
-    reach = frontier = 1 << v
-    near = [reach]
-    while len(near) < length:
-        layer = 0
-        while frontier:
-            low = frontier & -frontier
-            frontier ^= low
-            layer |= rows[low.bit_length() - 1]
-        frontier = layer & allowed & ~reach
-        reach |= frontier
-        near.append(reach)
-    if reach.bit_count() < length:
-        return None
-    ends = near[1] & ~near[0]
+    ends = rows[v] & allowed
     path = [v]
 
     def dfs(c, used, t):
-        # t vertices on the path, c the last; a vertex added now must be
-        # within length - t steps of v to close the cycle in time
+        # t vertices on the path, c the last
         budget.remaining -= 1
         if budget.remaining < 0:
             raise SearchBudgetExceeded(f"cycle search exceeded its node budget (length {length})")
         if t == length - 1:
             cand = rows[c] & ends & ~used & ~((2 << path[1]) - 1)
         else:
-            cand = rows[c] & near[length - t] & ~used
+            cand = rows[c] & allowed & ~used
         while cand:
             low = cand & -cand
             cand ^= low

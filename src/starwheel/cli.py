@@ -23,11 +23,15 @@ from .theorems import DEFAULT_CHECKS, fuzz, fuzz_all_graphs
 
 def _threads(value) -> int:
     if value is not None:
+        if value < 1:
+            raise ValueError(f"--threads must be >= 1, got {value}")
         return value
     env = os.environ.get("STARWHEEL_THREADS")
-    if env is not None:
-        return int(env)
-    return os.cpu_count() or 1
+    if env is None:
+        return os.cpu_count() or 1
+    if not env.strip().isdecimal() or int(env) < 1:
+        raise ValueError(f"STARWHEEL_THREADS must be an integer >= 1, got {env!r}")
+    return int(env)
 
 
 def _cmd_formula(args) -> int:

@@ -35,19 +35,20 @@ prune such as the arrows scan's wheel test spares the canonicity proof of
 every child it drops.
 
 Sibling rules. A child dropped for a reason that rests on a few parent
-vertices vouches for its later siblings: the child loop keeps each reason
-as a pair (mask, trace) and drops, unbuilt and untested, every sibling
-whose neighbourhood S' has S' & mask == trace. The wheel rule is (t, 0):
-``reject`` answers with a mask t of parent vertices such that every
-sibling missing t is rejected for the same reason (the arrows scan's
-complement wheel meets the new vertex only through its non-edges to t,
-which every such sibling keeps). The canonicity rule is (need, need): a
-rejected child's canonicity test names an ordering prefix whose words
-beat the labeling's at its last position. When that position lies below the new
-vertex's position k, the target words it is compared with do not depend
-on S, and on any sibling with S' & prefix holding need = S & prefix the
-prefix's words only gain bits, so the same prefix beats that sibling too
-(R. C. Read's "Every one a winner" argument). Every beating prefix of a
+vertices vouches for its later siblings: the child loop filters its list
+of remaining neighbourhoods once per dropped child, and the siblings it
+filters out are never built or tested. The wheel rule keeps only the S'
+with S' & t nonzero: ``reject`` answers with a mask t of parent vertices
+such that every sibling missing t is rejected for the same reason (the
+arrows scan's complement wheel meets the new vertex only through its
+non-edges to t, which every such sibling keeps). The canonicity rule
+keeps only the S' with S' & need != need: a rejected child's canonicity
+test names an ordering prefix whose words beat the labeling's at its
+last position. When that position lies below the new vertex's position
+k, the target words it is compared with do not depend on S, and on any
+sibling with S' & prefix holding need = S & prefix the prefix's words
+only gain bits, so the same prefix beats that sibling too (R. C. Read's
+"Every one a winner" argument). Every beating prefix of a
 child of a canonical parent holds the new vertex, as prefixes of parent
 vertices alone tie the parent at best; the canonicity test therefore tries
 the new vertex first among each node's ties, so rejections end shallow,
@@ -264,15 +265,16 @@ def _extensions(rows, order: int, dmax: int, prune=None, reject=None, proof=None
     ``is_canonical`` recorded for it. ``proof`` is the prefix's own; None
     leaves its children to the insertion bound alone.
 
-    A dropped child vouches for its later siblings by a pair (mask,
-    trace): no sibling whose neighbourhood S has S & mask == trace is
-    built. ``reject(child)`` sees every child's raw rows before the
-    canonicity test and answers with a bitmask t of parent vertices, 0 to
-    keep the child; a nonzero t drops the child and adds (t, 0), so
-    ``reject`` must not depend on the labeling. A child the canonicity
-    test rejects at a position below its new vertex k adds (need, need),
-    need = S & the beating prefix's vertex mask. ``prune(child)`` sees only
-    the canonical children; True drops the child and its subtree.
+    A dropped child vouches for its later siblings: the neighbourhoods
+    still to try are filtered once, and those filtered out are never built.
+    ``reject(child)`` sees every child's raw rows before the canonicity
+    test and answers with a bitmask t of parent vertices, 0 to keep the
+    child; a nonzero t drops the child and every later S with S & t == 0,
+    so ``reject`` must not depend on the labeling. A child the canonicity
+    test rejects at a position below its new vertex k drops every later S
+    that holds need = its own S & the beating prefix's vertex mask.
+    ``prune(child)`` sees only the canonical children; True drops the child
+    and its subtree.
     """
     k = len(rows)
     if k == order:
@@ -280,10 +282,9 @@ def _extensions(rows, order: int, dmax: int, prune=None, reject=None, proof=None
         return
     twins, maps = proof or (None, ())
     bit_k = 1 << k
-    blocked = []  # (mask, trace): drop every later S with S & mask == trace
-    for subset in _candidates(rows, dmax, twins):
-        if any(subset & mask == trace for mask, trace in blocked):
-            continue
+    todo = _candidates(rows, dmax, twins)[::-1]  # ascending: pop the largest S
+    while todo:
+        subset = todo.pop()
         if maps and _moved_above(rows, subset, maps):
             continue
         child = list(rows)
@@ -297,14 +298,14 @@ def _extensions(rows, order: int, dmax: int, prune=None, reject=None, proof=None
         if reject is not None:
             t = reject(child)
             if t:
-                blocked.append((t, 0))
+                todo = [s for s in todo if s & t]
                 continue
         child_proof = []
         if not is_canonical(child, k + 1, child_proof):
             placed = child_proof[0]
             if placed.bit_count() <= k:
                 need = subset & placed
-                blocked.append((need, need))
+                todo = [s for s in todo if s & need != need]
             continue
         if prune is None or not prune(child):
             yield from _extensions(child, order, dmax, prune, reject, child_proof)

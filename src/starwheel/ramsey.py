@@ -174,8 +174,8 @@ def _scan_hooks(order: int, m: int, node_budget):
     through the new vertex v. ``reject`` tests that on the child's raw rows,
     with one ``node_budget`` per child. The wheel found joins v in the
     complement only to the parent vertices of its ``neighbourhood(v)``, so
-    ``_extensions`` drops every sibling adjacent to none of them untested
-    (its sibling rule (mask, 0)).
+    ``_extensions`` filters every later sibling adjacent to none of them
+    out of its list, untested (its wheel rule).
     """
     kept = [0] * (order + 1)
 

@@ -4,8 +4,9 @@ Everything here is deliberately naive and separate from the library's own
 algorithms: cycle queries enumerate vertex subsets and cyclic orders,
 isomorphism is permutation search, and class counting marks whole orbits
 of labeled graphs. The canonicity backtrack is kept in a per-vertex form,
-which builds each unplaced vertex's word bit by bit, and the cycle search
-in a per-class form, which tests each candidate class bit by bit.
+which builds each unplaced vertex's word bit by bit, the cycle search
+in a per-class form, which tests each candidate class bit by bit, and the
+through-vertex walk with the 2-core peel and distance layers it once had.
 """
 
 from itertools import combinations, permutations
@@ -239,6 +240,66 @@ def reference_find_cycle_of_length(rows, n: int, length: int, budget):
             members = [iter(ms) for ms in classes]
             return tuple(next(members[c]) for c in path)
     return None
+
+
+def reference_find_cycle_through(rows, v: int, allowed: int, length: int, budget):
+    """What ``_cycles.find_cycle_through`` answers: the same walk from v,
+    but on the 2-core of ``allowed`` and only to vertices whose BFS distance
+    back to v fits the steps left. Both prunings cut only branches that
+    cannot close a cycle, so the first cycle found is the same; this walk
+    may answer None before drawing from ``budget`` and draws fewer nodes.
+    """
+    while True:
+        core = allowed
+        m = allowed
+        while m:
+            low = m & -m
+            m ^= low
+            if (rows[low.bit_length() - 1] & allowed).bit_count() < 2:
+                core ^= low
+        if core == allowed:
+            break
+        allowed = core
+    if not (allowed >> v) & 1:
+        return None
+    # near[d]: vertices within distance d of v, for d = 0 .. length - 1
+    reach = frontier = 1 << v
+    near = [reach]
+    while len(near) < length:
+        layer = 0
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            layer |= rows[low.bit_length() - 1]
+        frontier = layer & allowed & ~reach
+        reach |= frontier
+        near.append(reach)
+    if reach.bit_count() < length:
+        return None
+    ends = near[1] & ~near[0]
+    path = [v]
+
+    def dfs(c, used, t):
+        # t vertices on the path, c the last; a vertex added now must be
+        # within length - t steps of v to close the cycle in time
+        budget.remaining -= 1
+        if budget.remaining < 0:
+            raise SearchBudgetExceeded(f"cycle search exceeded its node budget (length {length})")
+        if t == length - 1:
+            cand = rows[c] & ends & ~used & ~((2 << path[1]) - 1)
+        else:
+            cand = rows[c] & near[length - t] & ~used
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            u = low.bit_length() - 1
+            path.append(u)
+            if t + 1 == length or dfs(u, used | low, t + 1):
+                return True
+            path.pop()
+        return False
+
+    return tuple(path) if dfs(v, 1 << v, 1) else None
 
 
 def _pair_index(n):

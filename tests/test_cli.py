@@ -310,3 +310,20 @@ class TestParameterValidation:
     def test_search_rejects_bad_parameters(self, capsys):
         code, _, err = run_cli(["search", "1", "6"], capsys=capsys)
         assert code == 2 and "n >= 2" in err
+
+    @pytest.mark.parametrize("threads", ["0", "-4"])
+    def test_search_rejects_thread_counts_below_1(self, threads, capsys):
+        code, out, err = run_cli(["search", "2", "4", "--threads", threads], capsys=capsys)
+        assert code == 2 and out == "" and f"--threads must be >= 1, got {threads}" in err
+
+    @pytest.mark.parametrize("env", ["abc", "0", "-2", "1.5", ""])
+    def test_search_rejects_bad_threads_env(self, env, monkeypatch, capsys):
+        monkeypatch.setenv("STARWHEEL_THREADS", env)
+        code, out, err = run_cli(["search", "2", "4"], capsys=capsys)
+        assert code == 2 and out == ""
+        assert f"STARWHEEL_THREADS must be an integer >= 1, got {env!r}" in err
+
+    def test_threads_flag_overrides_env(self, monkeypatch, capsys):
+        monkeypatch.setenv("STARWHEEL_THREADS", "abc")
+        code, out, _ = run_cli(["search", "2", "4", "--threads", "1"], capsys=capsys)
+        assert code == 0 and out.splitlines()[-1] == "R(K_{1,2},W_4) = 5"

@@ -12,6 +12,7 @@ from _oracles import (
     random_graph,
     random_permutation,
     reference_find_cycle_of_length,
+    reference_find_cycle_through,
 )
 from starwheel._cycles import (
     DEFAULT_NODE_BUDGET,
@@ -320,6 +321,32 @@ class TestCycleThrough:
                     if through is not None:
                         assert len(set(through)) == length and through[0] == v
                         assert all(g.has_edge(through[i - 1], through[i]) for i in range(length))
+
+    def test_same_cycle_as_the_pruned_walk(self):
+        # the 2-core peel and distance layers it dropped cut only branches
+        # that close no cycle, so the first cycle found is the same
+        rng = random.Random(71)
+        for _ in range(60):
+            n = rng.randrange(3, 11)
+            g = random_graph(rng, n, rng.uniform(0.5, 0.85))
+            full = (1 << n) - 1
+            for v in range(n):
+                masks = (full, rng.getrandbits(n) | 1 << v, g.rows[v] | 1 << v)
+                for allowed in masks:
+                    for length in range(3, n + 1):
+                        expected = reference_find_cycle_through(g.rows, v, allowed, length, Budget())
+                        found = find_cycle_through(g.rows, v, allowed, length, Budget())
+                        assert found == expected, (g.rows, v, allowed, length)
+
+    def test_early_none_draws_no_node(self):
+        g = complete(6)
+        budget = Budget(0)
+        # v outside the mask, and a mask with fewer than ``length`` vertices
+        assert find_cycle_through(g.rows, 0, 0b111110, 3, budget) is None
+        assert find_cycle_through(g.rows, 0, 0b001111, 5, budget) is None
+        assert budget.remaining == 0
+        with pytest.raises(SearchBudgetExceeded):
+            find_cycle_through(g.rows, 0, 0b011111, 5, budget)
 
     def test_stays_inside_the_mask(self):
         # wheel(6) minus the hub: the rim alone is the only 6-cycle

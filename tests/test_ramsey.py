@@ -244,6 +244,21 @@ class TestArrows:
         assert report.survivors[8] == 279
         assert (len(calls), sum(calls)) == (958, 750)
 
+    def test_wheel_tests_pinned(self, monkeypatch):
+        # the new-vertex wheel tests of the same scan; the count moves if a
+        # witness changes, and with it the siblings its wheel rule drops
+        calls = []
+        test = ramsey.wheel_through
+
+        def counted(*args):
+            calls.append(args[1])
+            return test(*args)
+
+        monkeypatch.setattr(ramsey, "wheel_through", counted)
+        report = arrows(13, 4, 7)
+        assert report.survivors[8] == 279
+        assert len(calls) == 1692
+
     @pytest.mark.slow
     def test_survivors_per_level_pinned_at_5_8(self):
         # the order-14 scan of R(K_{1,5}, W_8) = 14, a case of the paper's
