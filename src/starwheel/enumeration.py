@@ -65,6 +65,29 @@ loop picks a twin only together with the next higher vertex of its class,
 checks the other automorphisms on each neighbourhood left, and drops the
 children they beat before ``reject`` or the canonicity test runs. Each
 proof travels with its graph, so a subtree's root needs no second test.
+
+Replaying the parent's search. An accepting test also records its search:
+one int per backtrack node below the root, in visiting order, packing the
+node's depth d and order[d-1], the vertex placed last; a completed
+ordering whose words all tie sits at depth n. The child loop hands each
+child its parent's proof. At a node of the child's search whose prefix
+holds parent vertices only, the target words and the parent vertices'
+words are the parent's, so those vertices tie exactly as they did in the
+parent and none beats; only the new vertex v's word is new. When v keeps
+every parent twin class whole (the child's twin partition, less v, is the
+parent's), the test walks the parent's record and keeps only v's word
+along the path: a beat by v rejects the child with that prefix, a tie
+runs the plain backtrack below with v placed there, and the rest of the
+node is the parent's recorded branches. If v joins a parent twin class
+as a twin, v is tried first at every node where that class ties, so the
+class's recorded branch is skipped, as the plain search dedupes it. The
+walked entries and the new nodes form the child's own record. A child
+that splits a parent twin class needs a branch per part where the parent
+recorded one, so it, like every test without a parent, runs the plain
+search, which stays the reference. The verdict is the same either way;
+as the walk meets the ties in the parent's visiting order and picks twin
+representatives as the parent did, the beating prefix it names and the
+automorphisms it lists may differ.
 """
 
 from __future__ import annotations
@@ -75,20 +98,27 @@ from .core import Graph
 __all__ = ["is_canonical", "canonical_form", "is_isomorphic", "enumerate_degree_bounded"]
 
 
-def _improvement(rows, n: int, proof=None):
+# a record entry packs a backtrack node's depth and the vertex placed last
+_DEPTH_SHIFT = 16
+_VERTEX = (1 << _DEPTH_SHIFT) - 1
+
+
+def _improvement(rows, n: int, proof=None, parent=None):
     """None iff this labeling lex-maximizes the column-word tuple; else the
     ``pos`` array (position of each vertex, -1 if unplaced) of the first
     ordering prefix found whose words beat the labeling's. Each node fails
     at its lowest beating vertex, else tries its ties with the last vertex
     first and the rest ascending. A given ``proof`` list gets what
-    ``is_canonical`` describes."""
+    ``is_canonical`` describes; a ``parent`` proof is replayed when it
+    applies (see "Replaying the parent's search")."""
     if n <= 1:
         if proof is not None:
-            proof += (list(range(n)), [])
+            proof += (list(range(n)), [], [n << _DEPTH_SHIFT] if n else [])
         return None
     rep = twin_reps(rows, n)
     last = 1 << (n - 1)
     order = [0] * n  # order[i]: the vertex placed at position i
+    record = []  # the search's nodes below the root, in visiting order
     leaves = None if proof is None else []
 
     def attempt(depth, unplaced):
@@ -114,13 +144,16 @@ def _improvement(rows, n: int, proof=None):
             order[depth] = (beat & -beat).bit_length() - 1
             return depth + 1
         if depth == n - 1:
-            if tie and leaves is not None:
+            if tie:
                 # every word ties the target: this ordering is an automorphism
-                order[depth] = tie.bit_length() - 1
-                leaves.append(order[:])
+                order[depth] = u = tie.bit_length() - 1
+                record.append(n << _DEPTH_SHIFT | u)
+                if leaves is not None:
+                    leaves.append(order[:])
             return 0
         # the new (last) vertex first, then ascending (see "Sibling rules")
         seen = 0
+        entry = (depth + 1) << _DEPTH_SHIFT
         while tie:
             low = tie & last or tie & -tie
             tie ^= low
@@ -129,13 +162,67 @@ def _improvement(rows, n: int, proof=None):
                 continue  # unplaced twins have equal words: one per class suffices
             seen |= 1 << rep[u]
             order[depth] = u
+            record.append(entry | u)
             found = attempt(depth + 1, unplaced ^ low)
             if found:
                 return found
         return 0
 
-    # position 0 carries no word: every vertex ties there
-    found = attempt(0, (1 << n) - 1)
+    def replay(entries):
+        # the parent's accepted search with the new vertex v unplaced: only
+        # v's word can beat or tie anew at each of its nodes
+        v = n - 1
+        nbrs = rows[v]
+        twin = rep[v]  # v itself unless v joins a parent class
+        targets = [row & ((1 << d) - 1) for d, row in enumerate(rows)]
+        words = [0] * n  # v's word at each depth of the current path
+        left = [0] * n  # the parent vertices unplaced there
+        left[0] = last - 1
+        append = record.append
+        order[0] = v
+        append(1 << _DEPTH_SHIFT | v)
+        found = attempt(1, left[0])  # at the root v ties, as every vertex does
+        if found:
+            return found
+        skip = n
+        for e in entries:
+            d = e >> _DEPTH_SHIFT
+            if d > skip:
+                continue
+            u = e & _VERTEX
+            if rep[u] == twin:
+                skip = d  # v's twin: explored through v already
+                continue
+            skip = n
+            order[d - 1] = u
+            append(e)
+            left[d] = left[d - 1] ^ (1 << u)
+            word = words[d - 1]
+            if (nbrs >> u) & 1:
+                word |= 1 << (d - 1)
+            words[d] = word
+            target = targets[d]
+            if word < target:
+                continue
+            order[d] = v
+            if word > target:
+                return d + 1
+            if d == v:
+                append(n << _DEPTH_SHIFT | v)
+                if leaves is not None:
+                    leaves.append(order[:])
+            else:
+                append((d + 1) << _DEPTH_SHIFT | v)
+                found = attempt(d + 1, left[d])
+                if found:
+                    return found
+        return 0
+
+    if parent is not None and rep[:-1] == parent[0]:
+        found = replay(parent[2])
+    else:
+        # position 0 carries no word: every vertex ties there
+        found = attempt(0, (1 << n) - 1)
     if not found:
         if proof is not None:
             identity = list(range(n))
@@ -146,7 +233,7 @@ def _improvement(rows, n: int, proof=None):
                     for i, v in enumerate(leaf):
                         inverse[v] = i
                     maps.append(inverse)
-            proof += (rep, maps)
+            proof += (rep, maps, record)
         return None
     pos = [-1] * n
     for i in range(found):
@@ -156,20 +243,30 @@ def _improvement(rows, n: int, proof=None):
     return pos
 
 
-def is_canonical(rows, n: int, proof=None) -> bool:
+def is_canonical(rows, n: int, proof=None, parent=None) -> bool:
     """True iff this labeling lex-maximizes the column-word tuple.
 
-    When True and a ``proof`` list is given, two things the test already
-    has are appended to it: the twin partition (``_cycles.twin_reps``) and
-    a list of non-identity automorphisms, the orderings whose words all tie
-    the labeling's. Each is kept as its inverse map: an ordering that
-    places vertex order[i] at position i is stored as v -> i.
+    When True and a ``proof`` list is given, three things the test already
+    has are appended to it: the twin partition (``_cycles.twin_reps``), a
+    list of non-identity automorphisms, the orderings whose words all tie
+    the labeling's, and the record of the search. Each automorphism is kept
+    as its inverse map: an ordering that places vertex order[i] at position
+    i is stored as v -> i. The record holds one int per backtrack node below
+    the root, in visiting order: the node's depth d shifted left by
+    ``_DEPTH_SHIFT``, or'ed with order[d-1], the vertex placed last; a
+    completed ordering whose words all tie sits at depth n.
 
     When False and a ``proof`` list is given, the vertex mask of the
     ordering prefix that beats the labeling is appended: the vertices at
     positions 0..p, where p, one less than the mask's popcount, is the
-    position at which the prefix's word beats the labeling's."""
-    return _improvement(rows, n, proof) is None
+    position at which the prefix's word beats the labeling's.
+
+    ``parent``, when given, is the proof of ``rows`` without its last
+    vertex, recorded by an accepting test. The test then replays the
+    parent's record instead of repeating its search whenever the last
+    vertex keeps every parent twin class whole; the verdict is the same
+    either way."""
+    return _improvement(rows, n, proof, parent) is None
 
 
 def canonical_form(g: Graph) -> Graph:
@@ -263,7 +360,8 @@ def _extensions(rows, order: int, dmax: int, prune=None, reject=None, proof=None
     else its canonical, kept children, descending by neighborhood bitmask,
     each extended depth-first. Each comes as (rows, proof), with the proof
     ``is_canonical`` recorded for it. ``proof`` is the prefix's own; None
-    leaves its children to the insertion bound alone.
+    leaves its children to the insertion bound and the plain search. Each
+    child's canonicity test gets ``proof`` as its parent.
 
     A dropped child vouches for its later siblings: the neighbourhoods
     still to try are filtered once, and those filtered out are never built.
@@ -280,7 +378,7 @@ def _extensions(rows, order: int, dmax: int, prune=None, reject=None, proof=None
     if k == order:
         yield rows, proof
         return
-    twins, maps = proof or (None, ())
+    twins, maps, _ = proof or (None, (), None)
     bit_k = 1 << k
     todo = _candidates(rows, dmax, twins)[::-1]  # ascending: pop the largest S
     while todo:
@@ -301,7 +399,7 @@ def _extensions(rows, order: int, dmax: int, prune=None, reject=None, proof=None
                 todo = [s for s in todo if s & t]
                 continue
         child_proof = []
-        if not is_canonical(child, k + 1, child_proof):
+        if not is_canonical(child, k + 1, child_proof, proof):
             placed = child_proof[0]
             if placed.bit_count() <= k:
                 need = subset & placed

@@ -165,6 +165,15 @@ def _wheel_prune(n: int, m: int, order: int, node_budget):
     return prune
 
 
+def _new_vertex_wheel(rows, m: int, node_budget):
+    """A W_m through the last vertex of ``rows`` in their complement, or
+    None, on raw rows."""
+    k = len(rows)
+    full = (1 << k) - 1
+    comp = [full ^ row ^ (1 << u) for u, row in enumerate(rows)]
+    return wheel_through(comp, k - 1, m, node_budget)
+
+
 def _scan_hooks(order: int, m: int, node_budget):
     """The scan's per-level kept counts and its ``_extensions`` hooks
     ``count`` and ``reject``, shared by the roots and every subtree.
@@ -183,9 +192,7 @@ def _scan_hooks(order: int, m: int, node_budget):
         k = len(rows)
         if k <= m or k >= order:
             return 0
-        full = (1 << k) - 1
-        comp = [full ^ row ^ (1 << u) for u, row in enumerate(rows)]
-        found = wheel_through(comp, k - 1, m, node_budget)
+        found = _new_vertex_wheel(rows, m, node_budget)
         return 0 if found is None else found.neighbourhood(k - 1)
 
     def count(rows):
@@ -199,16 +206,20 @@ def _scan_task(args):
     """Scan one frontier subtree for a good coloring (worker-safe): the
     count of target-order graphs tested, the first good one's rows or None,
     and the canonical graphs kept per level. A SearchBudgetExceeded
-    propagates to the caller. Each target-order graph is tested in full.
-    The root comes with the proof its canonicity test recorded, so it is
-    not tested again.
+    propagates to the caller. The root comes with the proof its canonicity
+    test recorded, so it is not tested again.
+
+    A target-order graph's parent passed ``reject`` or has at most m
+    vertices, so its complement is W_m-free, and the graph's complement
+    has a W_m iff it has one through the new vertex: on at most m vertices
+    it has none, else ``reject``'s test decides, on the raw rows.
     """
     root_rows, root_proof, order, n, m, node_budget = args
     kept, count, reject = _scan_hooks(order, m, node_budget)
     tested = 0
     for rows, _ in _extensions(root_rows, order, n - 1, count, reject, root_proof):
         tested += 1
-        if contains_wheel(Graph._of(order, rows).complement(), m, node_budget) is None:
+        if order <= m or _new_vertex_wheel(rows, m, node_budget) is None:
             return tested, rows, kept
     return tested, None, kept
 
@@ -312,6 +323,8 @@ def compute_ramsey(n: int, m: int, max_order: int | None = None, workers: int = 
     bound = formula(n, m)
     if max_order is None:
         max_order = bound.value
+    if max_order < 0:
+        raise ValueError(f"max_order must be >= 0, got {max_order}")
     started = time.perf_counter()
     reports = []
 

@@ -311,6 +311,10 @@ class TestParameterValidation:
         code, _, err = run_cli(["search", "1", "6"], capsys=capsys)
         assert code == 2 and "n >= 2" in err
 
+    def test_search_rejects_negative_max_order(self, capsys):
+        code, out, err = run_cli(["search", "4", "4", "--max-order", "-1"], capsys=capsys)
+        assert code == 2 and out == "" and "error: max_order must be >= 0, got -1" in err
+
     @pytest.mark.parametrize("threads", ["0", "-4"])
     def test_search_rejects_thread_counts_below_1(self, threads, capsys):
         code, out, err = run_cli(["search", "2", "4", "--threads", threads], capsys=capsys)

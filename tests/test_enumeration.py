@@ -11,9 +11,13 @@ from _oracles import (
     random_permutation,
     reference_improvement,
 )
+from starwheel import enumeration
+from starwheel._cycles import twin_reps
 from starwheel.construct import lower_bound_witness
 from starwheel.core import Graph, complete, cycle, max_degree
+from starwheel.ramsey import arrows
 from starwheel.enumeration import (
+    _DEPTH_SHIFT,
     _candidates,
     _improvement,
     _moved_above,
@@ -76,7 +80,7 @@ def _proof(rows, n):
     canonical labeling ``rows``."""
     proof = []
     assert is_canonical(rows, n, proof), rows
-    twins, maps = proof
+    twins, maps = proof[:2]
     return twins, maps
 
 
@@ -101,8 +105,13 @@ def _check_improvement(rows, n):
     names ties the labeling's words and beats it at its last position."""
     pos = _improvement(rows, n)
     assert pos == reference_improvement(rows, n), rows
-    if pos is None:
-        return
+    if pos is not None:
+        _check_prefix(rows, pos)
+
+
+def _check_prefix(rows, pos):
+    """The ordering prefix of the ``pos`` array ties the labeling's words
+    and beats it at its last position."""
     order = sorted((p, v) for v, p in enumerate(pos) if p >= 0)
     assert [p for p, _ in order] == list(range(len(order)))
     for depth, (_, v) in enumerate(order):
@@ -357,3 +366,94 @@ class TestRejectionSiblings:
                     assert reference_improvement(_child(g.rows, k, nbrs), k + 1) is not None, (g.rows, nbrs)
                 covered += len(beaten)
         assert covered == COVERED_UP_TO_SEVEN
+
+
+def _check_replay(rows, n, parent):
+    """The test that replays ``parent``, the proof of ``rows`` without its
+    last vertex, gives the plain search's verdict. A rejection's prefix
+    beats the labeling at its last position; an acceptance records the
+    same twin partition, automorphisms under ``relabel``, and as many
+    backtrack nodes as the plain search, twin choices aside. Returns
+    (whether the record was replayed, the proof or None)."""
+    proof = []
+    pos = _improvement(rows, n, proof, parent)
+    plain = []
+    assert (pos is None) == (_improvement(rows, n, plain) is None), rows
+    replayed = twin_reps(rows, n)[:-1] == parent[0]
+    if pos is not None:
+        _check_prefix(rows, pos)
+        return replayed, None
+    twins, maps, record = proof
+    g = Graph(n, rows)
+    for sigma in maps:
+        assert sigma != list(range(n)) and g.relabel(sigma) == g, (rows, sigma)
+    assert twins == plain[0] and len(record) == len(plain[2]), rows
+    assert max(e >> _DEPTH_SHIFT for e in record) == n, rows
+    return replayed, proof
+
+
+def _canonical_graph(rng):
+    """A seeded canonical graph on 7..12 vertices and its degree cap dmax,
+    3..6: grown from one vertex by a random canonical child at a time,
+    among the neighbourhoods ``_candidates`` gives for dmax."""
+    order = rng.randrange(7, 13)
+    dmax = rng.randrange(3, 7)
+    rows = (0,)
+    while len(rows) < order:
+        k = len(rows)
+        tried = _candidates(rows, dmax)
+        rng.shuffle(tried)
+        rows = next(c for c in (_child(rows, k, s) for s in tried) if is_canonical(c, k + 1))
+    return rows, dmax
+
+
+class TestReplay:
+    def test_every_child_up_to_seven_vertices(self, corpus_by_order):
+        # every graph of order <= 6 as parent with every neighbourhood, and
+        # the children of each accepted child on a fixed stride
+        counts = [0, 0]
+        for k in range(1, 7):
+            for g in corpus_by_order[k]:
+                parent = []
+                assert is_canonical(g.rows, k, parent)
+                for nbrs in range(1 << k):
+                    child = _child(g.rows, k, nbrs)
+                    replayed, proof = _check_replay(child, k + 1, parent)
+                    counts[replayed] += 1
+                    if proof is None:
+                        continue
+                    for grand in range(nbrs % 5, 1 << (k + 1), 5):
+                        replayed, _ = _check_replay(_child(child, k + 1, grand), k + 2, proof)
+                        counts[replayed] += 1
+        assert min(counts) > 1000, counts
+
+    def test_seeded_graphs_up_to_twelve(self):
+        rng = random.Random(97)
+        counts = [0, 0]
+        for _ in range(300):
+            rows, dmax = _canonical_graph(rng)
+            k = len(rows)
+            parent = []
+            assert is_canonical(rows, k, parent)
+            tried = _candidates(rows, dmax)
+            for _ in range(40):
+                replayed, _ = _check_replay(_child(rows, k, rng.choice(tried)), k + 1, parent)
+                counts[replayed] += 1
+        assert min(counts) > 1000, counts
+
+    def test_every_call_of_a_scan(self, monkeypatch):
+        # the order-13 scan of R(K_{1,4}, W_7) = 13 passes each child its
+        # parent's proof
+        test = enumeration.is_canonical
+        counts = [0, 0]
+
+        def checked(rows, n, proof=None, parent=None):
+            if parent is not None:
+                replayed, _ = _check_replay(rows, n, parent)
+                counts[replayed] += 1
+            return test(rows, n, proof, parent)
+
+        monkeypatch.setattr(enumeration, "is_canonical", checked)
+        report = arrows(13, 4, 7)
+        assert report.survivors[8] == 279
+        assert min(counts) > 50, counts

@@ -230,7 +230,10 @@ class TestArrows:
         # the symmetry bound cuts the canonicity tests of the order-13 scan
         # of R(K_{1,4}, W_7) = 13 from 1,676 to 1,069, and the siblings a
         # rejection vouches for cut them to 958; losing either moves the
-        # rejected calls, not the accepted ones or the survivors
+        # rejected calls, not the accepted ones or the survivors. A test
+        # that replays its parent's search meets the parent's ties in the
+        # parent's order, so a rejection may name another beating prefix,
+        # vouch for other siblings, and leave 957
         calls = []
         test = enumeration.is_canonical
 
@@ -242,11 +245,13 @@ class TestArrows:
         monkeypatch.setattr(enumeration, "is_canonical", counted)
         report = arrows(13, 4, 7)
         assert report.survivors[8] == 279
-        assert (len(calls), sum(calls)) == (958, 750)
+        assert (len(calls), sum(calls)) == (957, 750)
 
     def test_wheel_tests_pinned(self, monkeypatch):
-        # the new-vertex wheel tests of the same scan; the count moves if a
-        # witness changes, and with it the siblings its wheel rule drops
+        # the new-vertex wheel tests of the same scan, the one target-order
+        # graph's included; the count moves if a witness changes, and with
+        # it the siblings its wheel rule drops, or if the canonicity
+        # rejections vouch for other siblings
         calls = []
         test = ramsey.wheel_through
 
@@ -257,7 +262,7 @@ class TestArrows:
         monkeypatch.setattr(ramsey, "wheel_through", counted)
         report = arrows(13, 4, 7)
         assert report.survivors[8] == 279
-        assert len(calls) == 1692
+        assert len(calls) == 1690
 
     @pytest.mark.slow
     def test_survivors_per_level_pinned_at_5_8(self):
@@ -332,6 +337,19 @@ class TestArrows:
                         assert expected, (comp.rows, nbrs, mask)
                         covered += 1
         assert covered > 1000
+
+    @pytest.mark.parametrize("order,n,m,graphs", [(9, 4, 4, 68), (11, 4, 6, 3), (11, 3, 8, 5)])
+    def test_target_order_test_agrees_with_full_test(self, order, n, m, graphs):
+        # the scan tests a target-order graph only for a complement W_m
+        # through its new vertex; its parent's complement is W_m-free, so
+        # that agrees with contains_wheel over every hub
+        _, count, reject = ramsey._scan_hooks(order, m, None)
+        tested = 0
+        for rows, _ in enumeration._extensions((0,), order, n - 1, count, reject):
+            full = contains_wheel(Graph._of(order, rows).complement(), m)
+            assert (ramsey._new_vertex_wheel(rows, m, None) is None) == (full is None), rows
+            tested += 1
+        assert tested == graphs == arrows(order, n, m).enumerated
 
     @pytest.mark.parametrize("n,m", [(2, 4), (2, 5), (3, 4), (3, 5), (3, 6), (4, 4)])
     def test_agrees_with_naive_oracle(self, corpus_by_order, n, m):
@@ -426,6 +444,10 @@ class TestComputeRamsey:
         assert not result.decided
         assert result.ramsey_number is None
         assert result.extremal is not None and result.extremal.n == 9
+
+    def test_negative_max_order_rejected(self):
+        with pytest.raises(ValueError, match="max_order must be >= 0, got -1"):
+            compute_ramsey(4, 4, max_order=-1)
 
     def test_witness_shortcut_used(self):
         result = compute_ramsey(4, 6)
