@@ -10,9 +10,14 @@ the vertex search while collapsing the huge symmetric branching that dense
 join-like graphs otherwise produce.
 
 Within the quotient the search is plain backtracking: anchor at each
-class in turn, skip an anchor whose component fails a static capacity
-bound (an independent class can occupy at most floor(L/2) positions of a
-cycle of length L), and extend by ascending class index. A node visits
+class in turn and extend by ascending class index. A static capacity
+bound skips anchors: an independent class can occupy at most floor(L/2)
+positions of a cycle of length L, and the anchor's reach (the classes not
+below it that it reaches through such classes) must hold L vertices. A
+later anchor inside a failed reach has a reach inside it, so it fails too
+and is skipped without a BFS or a capacity sum of its own. The first
+anchor met in a quotient component is its least class, whose reach is
+the whole component, so a component that fails costs one BFS. A node visits
 one bitmask of classes: its quotient row AND the classes with
 multiplicity left AND those whose BFS distance back to the anchor fits
 the steps left.
@@ -247,8 +252,11 @@ def find_cycle_of_length(rows, n: int, length: int, budget: Budget | None = None
     sizes = [len(ms) for ms in classes]
     half = length // 2
     weight = None  # per class: +1 in U0, -1 in T, else 0 (see _separator_weights)
+    dead = 0  # classes inside the reach of an anchor that failed capacity: they fail too
 
     for anchor in range(k):
+        if (dead >> anchor) & 1:
+            continue
         # within[r]: the classes >= anchor at BFS distance <= r from it
         geq = -1 << anchor
         reach = frontier = 1 << anchor
@@ -262,7 +270,6 @@ def find_cycle_of_length(rows, n: int, length: int, budget: Budget | None = None
             frontier = layer & geq & ~reach
             reach |= frontier
             within.append(reach)
-        within += [reach] * (length - len(within))
 
         capacity = 0
         m = reach
@@ -272,7 +279,9 @@ def find_cycle_of_length(rows, n: int, length: int, budget: Budget | None = None
             m ^= low
             capacity += sizes[c] if (step[c] >> c) & 1 else min(sizes[c], half)
         if capacity < length:
+            dead |= reach
             continue
+        within += [reach] * (length - len(within))
         if weight is None:
             if max((b.bit_count() for b in blocks(rows, n)[0]), default=0) < length:
                 return None

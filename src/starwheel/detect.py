@@ -9,8 +9,6 @@ so fixtures are stable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ._cycles import (
     Budget,
     SearchBudgetExceeded,
@@ -18,6 +16,7 @@ from ._cycles import (
     find_cycle_through,
     find_cycle_within,
 )
+from ._record import Frozen
 from .core import Graph, girth
 
 __all__ = [
@@ -34,12 +33,13 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class StarWitness:
+class StarWitness(Frozen):
     """A K_{1,n} subgraph: center joined to n distinct leaves."""
 
-    center: int
-    leaves: tuple
+    __slots__ = ("center", "leaves")
+
+    def __init__(self, center: int, leaves: tuple):
+        self._fill(center, leaves)
 
     def validate(self, g: Graph, n: int) -> bool:
         leaves = set(self.leaves)
@@ -54,12 +54,13 @@ class StarWitness:
         return f"star center={self.center} leaves={','.join(map(str, self.leaves))}"
 
 
-@dataclass(frozen=True)
-class WheelWitness:
+class WheelWitness(Frozen):
     """A W_m subgraph: hub joined to every vertex of an m-cycle rim."""
 
-    hub: int
-    rim: tuple
+    __slots__ = ("hub", "rim")
+
+    def __init__(self, hub: int, rim: tuple):
+        self._fill(hub, rim)
 
     def validate(self, g: Graph, m: int) -> bool:
         rim = self.rim

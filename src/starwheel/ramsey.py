@@ -20,8 +20,8 @@ reports reproducible byte for byte and independent of the worker count.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 
+from ._record import Frozen, Record
 from .construct import lower_bound_witness, theta
 from .core import Graph
 from .detect import StarWitness, WheelWitness, contains_star, contains_wheel, wheel_through
@@ -47,13 +47,13 @@ LOWER_ONLY = "lower-only"
 _SOURCE_PRECEDENCE = ("ThHa", "ThHaBaAs", "ThSuBa", "ThExactly", "M6M8Remark")
 
 
-@dataclass(frozen=True)
-class Bound:
+class Bound(Frozen):
     """A value from the formula table with its provenance."""
 
-    value: int
-    status: str
-    source: str
+    __slots__ = ("value", "status", "source")
+
+    def __init__(self, value: int, status: str, source: str):
+        self._fill(value, status, source)
 
     @property
     def exact(self) -> bool:
@@ -97,12 +97,13 @@ def formula(n: int, m: int) -> Bound:
     return Bound(2 * n + m // 2 - theta(n, m), LOWER_ONLY, "ThLower")
 
 
-@dataclass(frozen=True)
-class Goodness:
+class Goodness(Frozen):
     """Outcome of a goodness check; falsy when a target was found."""
 
-    good: bool
-    violation: StarWitness | WheelWitness | None = None
+    __slots__ = ("good", "violation")
+
+    def __init__(self, good: bool, violation: StarWitness | WheelWitness | None = None):
+        self._fill(good, violation)
 
     def __bool__(self) -> bool:
         return self.good
@@ -121,8 +122,7 @@ def is_good_coloring(g: Graph, n: int, m: int, node_budget=None) -> Goodness:
     return Goodness(True)
 
 
-@dataclass(frozen=True)
-class SearchReport:
+class SearchReport(Frozen):
     """Outcome of one arrows(N) scan.
 
     Serialized line format: ``n m N outcome count elapsed_ms`` (stable
@@ -131,17 +131,27 @@ class SearchReport:
     maps each level from 2 on to the number of canonical graphs of that
     order the wheel prune kept, target-order graphs included, up to the
     first good coloring; it is not part of the line, is the same for every
-    worker count, and is empty when nothing was enumerated.
+    worker count, and is empty when nothing was enumerated. Equality
+    compares ``survivors`` too; the hash leaves it out.
     """
 
-    n: int
-    m: int
-    order: int
-    outcome: str  # "arrows-holds" | "good-graph-found"
-    enumerated: int
-    elapsed_ms: float
-    witness: Graph | None = None
-    survivors: dict = field(default_factory=dict, hash=False)
+    __slots__ = ("n", "m", "order", "outcome", "enumerated", "elapsed_ms", "witness", "survivors")
+
+    def __init__(
+        self,
+        n: int,
+        m: int,
+        order: int,
+        outcome: str,  # "arrows-holds" | "good-graph-found"
+        enumerated: int,
+        elapsed_ms: float,
+        witness: Graph | None = None,
+        survivors: dict | None = None,
+    ):
+        self._fill(n, m, order, outcome, enumerated, elapsed_ms, witness, {} if survivors is None else survivors)
+
+    def __hash__(self):
+        return hash(self._fields()[:-1])
 
     @property
     def holds(self) -> bool:
@@ -295,17 +305,22 @@ def _witness_shortcut(order: int, n: int, m: int) -> SearchReport | None:
     return SearchReport(n, m, order, "good-graph-found", 0, elapsed, witness)
 
 
-@dataclass
-class RamseySearch:
+class RamseySearch(Record):
     """Outcome of a Ramsey-number computation."""
 
-    n: int
-    m: int
-    ramsey_number: int | None
-    reports: list
-    extremal: Graph | None
-    enumerated: int
-    elapsed_ms: float
+    __slots__ = ("n", "m", "ramsey_number", "reports", "extremal", "enumerated", "elapsed_ms")
+
+    def __init__(
+        self,
+        n: int,
+        m: int,
+        ramsey_number: int | None,
+        reports: list,
+        extremal: Graph | None,
+        enumerated: int,
+        elapsed_ms: float,
+    ):
+        self._fill(n, m, ramsey_number, reports, extremal, enumerated, elapsed_ms)
 
     @property
     def decided(self) -> bool:

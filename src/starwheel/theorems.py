@@ -10,9 +10,8 @@ halves are checked in cleared-denominator integer form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from . import graph6
+from ._record import Frozen, Record
 from .construct import lower_bound_witness, theta
 from .core import (
     Graph,
@@ -45,11 +44,11 @@ CONCLUSION_HOLDS = "conclusion-holds"
 COUNTEREXAMPLE = "counterexample"
 
 
-@dataclass(frozen=True)
-class Verdict:
-    status: str
-    witness: object = None
-    detail: str = ""
+class Verdict(Frozen):
+    __slots__ = ("status", "witness", "detail")
+
+    def __init__(self, status: str, witness: object = None, detail: str = ""):
+        self._fill(status, witness, detail)
 
     @property
     def holds(self) -> bool:
@@ -176,11 +175,16 @@ DEFAULT_CHECKS = {
 }
 
 
-@dataclass
-class FuzzSummary:
-    graphs: int = 0
-    tallies: dict = field(default_factory=dict)  # check name -> {status: count}
-    counterexample: tuple | None = None  # (check name, Graph, Verdict)
+class FuzzSummary(Record):
+    __slots__ = ("graphs", "tallies", "counterexample")
+
+    def __init__(
+        self,
+        graphs: int = 0,
+        tallies: dict | None = None,  # check name -> {status: count}
+        counterexample: tuple | None = None,  # (check name, Graph, Verdict)
+    ):
+        self._fill(graphs, {} if tallies is None else tallies, counterexample)
 
     @property
     def clean(self) -> bool:

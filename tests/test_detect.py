@@ -1,4 +1,6 @@
+import hashlib
 import random
+from functools import reduce
 from itertools import combinations
 
 import pytest
@@ -165,6 +167,68 @@ class TestReferenceCycleSearch:
                 with pytest.raises(SearchBudgetExceeded):
                     find_cycle_of_length(rows, n, length, short)
                 assert short.remaining == -1
+
+
+class TestCycleSearchPin:
+    """The answer and the nodes drawn of every find_cycle_of_length call on
+    a fixed corpus, hashed. The digest was recorded before the capacity
+    bound ruled out whole quotient components through their least anchor,
+    when every anchor ran its own BFS and capacity sum; the skip must
+    change no witness and no node count."""
+
+    DIGEST = "220ee8c19bbc12bb081b4cc1bf5867a58f82d5779093ce815cf45afc3d619222"
+    CALLS = 6280
+
+    @staticmethod
+    def inputs(order7):
+        # hub neighbourhoods of the witnesses' complements, as built and
+        # with seeded pairs flipped, in the host's labels
+        rng = random.Random(1919)
+        for n, m in [(5, 6), (6, 8), (7, 10), (7, 8)]:
+            base = lower_bound_witness(n, m).rows
+            copies = [list(base)]
+            for _ in range(3):
+                rows = list(base)
+                u, v = rng.sample(range(len(rows)), 2)
+                rows[u] ^= 1 << v
+                rows[v] ^= 1 << u
+                copies.append(rows)
+            for rows in copies:
+                h = Graph(len(rows), rows).complement()
+                for nbrs in h.rows:
+                    if nbrs.bit_count() >= m:
+                        hood = [row & nbrs if (nbrs >> v) & 1 else 0 for v, row in enumerate(h.rows)]
+                        for length in sorted({3, m - 1, m, m + 1}):
+                            yield hood, h.n, length
+        for g in order7:
+            for length in range(3, 8):
+                yield g.rows, g.n, length
+        # quotients of several components, where components that fail the
+        # capacity bound (a star, K_{2,4}) come before, between and after
+        # the ones that hold cycles
+        k24 = Graph.from_edges(6, [(i, 2 + j) for i in range(2) for j in range(4)])
+        parts = {"star": star(5), "k24": k24, "c6": cycle(6), "k4": complete(4), "k33": K33}
+        for names in [
+            ("star", "c6"),
+            ("c6", "star"),
+            ("k24", "star", "c6"),
+            ("c6", "k24", "star"),
+            ("star", "k33", "k24"),
+            ("k4", "star", "c6", "k24"),
+        ]:
+            g = reduce(Graph.disjoint_union, [parts[name] for name in names])
+            for length in range(3, g.n + 1):
+                yield g.rows, g.n, length
+
+    def test_answers_and_nodes_pinned(self, corpus_by_order):
+        digest = hashlib.sha256()
+        calls = 0
+        for rows, n, length in self.inputs(corpus_by_order[7]):
+            budget = Budget()
+            found = find_cycle_of_length(rows, n, length, budget)
+            digest.update(repr((found, DEFAULT_NODE_BUDGET - budget.remaining)).encode())
+            calls += 1
+        assert (digest.hexdigest(), calls) == (self.DIGEST, self.CALLS)
 
 
 class TestCycleBounds:

@@ -407,6 +407,15 @@ class TestArrows:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == b"False\n"
 
+    def test_import_loads_no_dataclasses(self):
+        # dataclasses pulls in inspect, ast, dis and tokenize, and compiles
+        # each decorated class in every fresh interpreter; the result types
+        # are plain slotted classes instead
+        script = "import sys, starwheel\nprint('dataclasses' in sys.modules, 'inspect' in sys.modules)\n"
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == b"False False\n"
+
     def test_pool_early_stop_does_not_hang(self):
         # a witness in the first subtree stops the pooled scan at once; each
         # stop shuts the pool down, which must never block
