@@ -42,6 +42,13 @@ of each new vertex, a cycle through one given vertex inside a vertex
 mask, by a plain DFS on bitmasks of the host rows: no quotient, no
 relabelling, no core peel and no distance layers: on the scan's small
 masks, pruning that cuts only dead branches costs more than it saves.
+One check does pay: when the mask holds exactly as many vertices as the
+cycle, the cycle uses them all, and a vertex with fewer than two
+neighbours inside settles None in one pass over the mask, with no walk.
+The scan's rim tests often have such masks (a hub of degree exactly m),
+and the peel's repeated passes would only matter on larger masks. The
+walk's last two steps are one loop, not two levels of calls: most nodes
+that deep are dead ends, and a call per candidate was most of their cost.
 ``find_cycle_within`` anchors it at each vertex in turn.
 """
 
@@ -344,11 +351,23 @@ def find_cycle_through(rows, v: int, allowed: int, length: int, budget: Budget):
     A plain DFS from v: it extends by ascending vertex inside ``allowed``
     and closes each cycle in one direction only, at a neighbour of v above
     the path's second vertex. Each call of the walk draws one node from
-    ``budget``; when v is not in ``allowed``, or ``allowed`` holds fewer
-    than ``length`` vertices, the answer is None and none is drawn.
+    ``budget``, and a node two vertices short of the cycle closes it in
+    place, so the two closing steps draw none. The answer is None and no
+    node is drawn when v is not in ``allowed``, when ``allowed`` holds
+    fewer than ``length`` vertices, or when it holds exactly ``length``
+    and one of them has fewer than two neighbours inside it.
     """
-    if not (allowed >> v) & 1 or allowed.bit_count() < length:
+    size = allowed.bit_count()
+    if not (allowed >> v) & 1 or size < length:
         return None
+    if size == length:
+        # the cycle must use every vertex of ``allowed``
+        m = allowed
+        while m:
+            low = m & -m
+            m ^= low
+            if (rows[low.bit_length() - 1] & allowed).bit_count() < 2:
+                return None
     ends = rows[v] & allowed
     path = [v]
 
@@ -357,16 +376,27 @@ def find_cycle_through(rows, v: int, allowed: int, length: int, budget: Budget):
         budget.remaining -= 1
         if budget.remaining < 0:
             raise SearchBudgetExceeded(f"cycle search exceeded its node budget (length {length})")
-        if t == length - 1:
-            cand = rows[c] & ends & ~used & ~((2 << path[1]) - 1)
-        else:
-            cand = rows[c] & allowed & ~used
+        cand = rows[c] & allowed & ~used
+        if t == length - 2:
+            # the last two steps: the least u that has a closer, then its
+            # least closer, a free neighbour of v above path[1] (which is u
+            # itself when the cycle is a triangle)
+            closers = ends & ~used
+            while cand:
+                low = cand & -cand
+                cand ^= low
+                u = low.bit_length() - 1
+                shut = rows[u] & closers & -(2 << (path[1] if t > 1 else u))
+                if shut:
+                    path.extend((u, (shut & -shut).bit_length() - 1))
+                    return True
+            return False
         while cand:
             low = cand & -cand
             cand ^= low
             u = low.bit_length() - 1
             path.append(u)
-            if t + 1 == length or dfs(u, used | low, t + 1):
+            if dfs(u, used | low, t + 1):
                 return True
             path.pop()
         return False

@@ -56,6 +56,11 @@ class Graph:
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
 
+    def __reduce__(self):
+        # pickle and copy rebuild through _of: the default slot-state
+        # restore would go through __setattr__
+        return (Graph._of, (self.n, self.rows))
+
     @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":
         if n < 0:

@@ -246,8 +246,10 @@ def reference_find_cycle_through(rows, v: int, allowed: int, length: int, budget
     """What ``_cycles.find_cycle_through`` answers: the same walk from v,
     but on the 2-core of ``allowed`` and only to vertices whose BFS distance
     back to v fits the steps left. Both prunings cut only branches that
-    cannot close a cycle, so the first cycle found is the same; this walk
-    may answer None before drawing from ``budget`` and draws fewer nodes.
+    cannot close a cycle, so the first cycle found is the same. Its nodes
+    are not comparable with the walk's: it may answer None before drawing
+    from ``budget`` where the walk does not, but each of its calls draws a
+    node, the last two steps' included, where the walk closes them in one.
     """
     while True:
         core = allowed

@@ -1,7 +1,7 @@
 import hashlib
 import random
 from functools import reduce
-from itertools import combinations
+from itertools import chain, combinations
 
 import pytest
 
@@ -16,6 +16,7 @@ from _oracles import (
     reference_find_cycle_of_length,
     reference_find_cycle_through,
 )
+from starwheel import _cycles, detect, ramsey
 from starwheel._cycles import (
     DEFAULT_NODE_BUDGET,
     Budget,
@@ -231,6 +232,62 @@ class TestCycleSearchPin:
         assert (digest.hexdigest(), calls) == (self.DIGEST, self.CALLS)
 
 
+def random_queries(rng, graphs):
+    """(rows, v, allowed, length) on seeded random graphs of order 3..10,
+    with the full mask, a random one and v's closed neighbourhood."""
+    for _ in range(graphs):
+        n = rng.randrange(3, 11)
+        g = random_graph(rng, n, rng.uniform(0.5, 0.85))
+        full = (1 << n) - 1
+        for v in range(n):
+            for allowed in (full, rng.getrandbits(n) | 1 << v, g.rows[v] | 1 << v):
+                for length in range(3, n + 1):
+                    yield g.rows, v, allowed, length
+
+
+def scan_queries(rng, graphs):
+    """(rows, v, allowed, length) like the scan's rim tests: complements of
+    seeded graphs of maximum degree <= 4 on 7..13 vertices, with masks of
+    exactly ``length`` or ``length + 1`` vertices around v, lengths 3..8."""
+    for _ in range(graphs):
+        n = rng.randrange(7, 14)
+        capped = [0] * n
+        pairs = list(combinations(range(n), 2))
+        rng.shuffle(pairs)
+        for u, w in pairs:
+            if capped[u].bit_count() < 4 and capped[w].bit_count() < 4 and rng.random() < 0.6:
+                capped[u] |= 1 << w
+                capped[w] |= 1 << u
+        full = (1 << n) - 1
+        rows = [full ^ row ^ 1 << u for u, row in enumerate(capped)]
+        for length in range(3, min(8, n - 1) + 1):
+            for size in (length, length + 1):
+                for v in rng.sample(range(n), 3):
+                    others = rng.sample([u for u in range(n) if u != v], size - 1)
+                    yield rows, v, sum(1 << u for u in others) | 1 << v, length
+
+
+class TestCycleThroughPin:
+    """The answer and the nodes drawn of every find_cycle_through call on a
+    fixed seeded corpus, hashed. Recorded when the walk began to settle
+    exact-size masks by degree and to close its last two steps in place;
+    a change to the walk's order or to its node count moves it."""
+
+    DIGEST = "0d3d5c38ed12ea5153347b18da9f3fb21eea61f8fdf367d66deaa6fd01c30259"
+    CALLS = 5004
+
+    def test_answers_and_nodes_pinned(self):
+        digest = hashlib.sha256()
+        calls = 0
+        queries = chain(scan_queries(random.Random(2121), 40), random_queries(random.Random(2122), 40))
+        for rows, v, allowed, length in queries:
+            budget = Budget()
+            found = find_cycle_through(rows, v, allowed, length, budget)
+            digest.update(repr((found, DEFAULT_NODE_BUDGET - budget.remaining)).encode())
+            calls += 1
+        assert (digest.hexdigest(), calls) == (self.DIGEST, self.CALLS)
+
+
 class TestCycleBounds:
     """The block and separator bounds of find_cycle_of_length: exact (the
     reference, which has neither, agrees on every answer and never draws
@@ -388,19 +445,41 @@ class TestCycleThrough:
 
     def test_same_cycle_as_the_pruned_walk(self):
         # the 2-core peel and distance layers it dropped cut only branches
-        # that close no cycle, so the first cycle found is the same
-        rng = random.Random(71)
-        for _ in range(60):
-            n = rng.randrange(3, 11)
-            g = random_graph(rng, n, rng.uniform(0.5, 0.85))
-            full = (1 << n) - 1
-            for v in range(n):
-                masks = (full, rng.getrandbits(n) | 1 << v, g.rows[v] | 1 << v)
-                for allowed in masks:
-                    for length in range(3, n + 1):
-                        expected = reference_find_cycle_through(g.rows, v, allowed, length, Budget())
-                        found = find_cycle_through(g.rows, v, allowed, length, Budget())
-                        assert found == expected, (g.rows, v, allowed, length)
+        # that close no cycle, so the first cycle found is the same; the
+        # scan's rim tests walk complements of degree-capped graphs inside
+        # masks of about the cycle's size
+        queries = chain(random_queries(random.Random(71), 60), scan_queries(random.Random(2111), 300))
+        for rows, v, allowed, length in queries:
+            expected = reference_find_cycle_through(rows, v, allowed, length, Budget())
+            assert find_cycle_through(rows, v, allowed, length, Budget()) == expected, (rows, v, allowed, length)
+
+    def test_same_cycles_as_the_pruned_walk_in_a_scan(self, monkeypatch):
+        # every walk of the order-13 scan of R(K_{1,4}, W_7) = 13, and every
+        # wheel test's witness once the reference walk stands in for it
+        walks, tests = [], []
+        walk, test = find_cycle_through, ramsey.wheel_through
+
+        def recorded_walk(*args):
+            found = walk(*args)
+            walks.append((args[:4], found))
+            return found
+
+        def recorded_test(*args):
+            found = test(*args)
+            tests.append((args, found))
+            return found
+
+        monkeypatch.setattr(_cycles, "find_cycle_through", recorded_walk)
+        monkeypatch.setattr(detect, "find_cycle_through", recorded_walk)
+        monkeypatch.setattr(ramsey, "wheel_through", recorded_test)
+        assert ramsey.arrows(13, 4, 7).survivors[8] == 279
+        assert len(tests) == 1690 and len(walks) > 1000
+        for args, found in walks:
+            assert reference_find_cycle_through(*args, Budget()) == found, args
+        monkeypatch.setattr(_cycles, "find_cycle_through", reference_find_cycle_through)
+        monkeypatch.setattr(detect, "find_cycle_through", reference_find_cycle_through)
+        for args, found in tests:
+            assert test(*args) == found, args
 
     def test_early_none_draws_no_node(self):
         g = complete(6)
@@ -408,9 +487,36 @@ class TestCycleThrough:
         # v outside the mask, and a mask with fewer than ``length`` vertices
         assert find_cycle_through(g.rows, 0, 0b111110, 3, budget) is None
         assert find_cycle_through(g.rows, 0, 0b001111, 5, budget) is None
+        # a mask of exactly ``length`` vertices, one of them (a path's end,
+        # or an isolated vertex) with fewer than two neighbours inside
+        assert find_cycle_through(path(6).rows, 0, 0b011111, 5, budget) is None
+        assert find_cycle_through(cycle(6).rows, 2, 0b011111, 5, budget) is None
+        k5 = complete(5).disjoint_union(empty_graph(1))
+        assert find_cycle_through(k5.rows, 0, 0b100111, 4, budget) is None
         assert budget.remaining == 0
         with pytest.raises(SearchBudgetExceeded):
             find_cycle_through(g.rows, 0, 0b011111, 5, budget)
+        with pytest.raises(SearchBudgetExceeded):
+            find_cycle_through(cycle(6).rows, 2, 0b111111, 6, Budget(0))
+
+    @pytest.mark.parametrize("length", [3, 4, 6])
+    def test_budget_one_node_short_raises(self, length):
+        # the walk draws a node per call above its last two steps: one
+        # fewer raises, and exactly that many gives the same answer
+        k34 = Graph.from_edges(7, [(i, 3 + j) for i in range(3) for j in range(4)])
+        for g in (complete(7), k34, wheel(6), cycle(7), path(7)):
+            full = (1 << g.n) - 1
+            budget = Budget()
+            found = find_cycle_through(g.rows, 0, full, length, budget)
+            nodes = DEFAULT_NODE_BUDGET - budget.remaining
+            assert nodes >= 1, (g.rows, length)
+            short = Budget(nodes - 1)
+            with pytest.raises(SearchBudgetExceeded):
+                find_cycle_through(g.rows, 0, full, length, short)
+            assert short.remaining == -1
+            exact = Budget(nodes)
+            assert find_cycle_through(g.rows, 0, full, length, exact) == found
+            assert exact.remaining == 0
 
     def test_stays_inside_the_mask(self):
         # wheel(6) minus the hub: the rim alone is the only 6-cycle

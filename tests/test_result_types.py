@@ -100,3 +100,21 @@ def test_reprs_name_every_field():
         "SearchReport(n=4, m=6, order=5, outcome='good-graph-found', enumerated=1,"
         f" elapsed_ms=0.5, witness={cycle(5)!r}, survivors={{}})"
     )
+
+
+def test_graphs_and_the_results_that_carry_them_pickle_and_copy():
+    from starwheel.ramsey import arrows, compute_ramsey
+
+    report = arrows(10, 4, 6)
+    search = compute_ramsey(2, 4)
+    assert report.witness is not None and search.extremal is not None
+    for value in (cycle(5), report, search):
+        for twin in (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)):
+            assert type(twin) is type(value) and twin == value
+    g = pickle.loads(pickle.dumps(cycle(5)))
+    assert g.rows == cycle(5).rows and hash(g) == hash(cycle(5))
+    with pytest.raises(AttributeError):
+        g.n = 3
+    twin = copy.deepcopy(report)
+    assert twin.witness == report.witness and twin.survivors == report.survivors
+    assert copy.deepcopy(search).extremal == search.extremal
