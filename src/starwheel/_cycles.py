@@ -3,14 +3,14 @@
 The search walks a twin-compressed quotient of the input graph: vertices
 with identical open neighborhoods (necessarily nonadjacent) or identical
 closed neighborhoods (necessarily adjacent) are interchangeable on any
-cycle, so they collapse into one class carried with a multiplicity budget.
-Isolated vertices lie on no cycle and form no class. Between two classes
-adjacency is all-or-nothing, which makes the quotient walk equivalent to
-the vertex search while collapsing the huge symmetric branching that dense
-join-like graphs otherwise produce.
+cycle, so they collapse into one class, named by its least vertex and
+carried with a multiplicity budget; isolated vertices form no class.
+Adjacency between classes is all-or-nothing, so a quotient row is a host
+row masked to the classes' least vertices, with no re-indexing, and the
+walk, equal to the vertex search, skips its symmetric branching on twins.
 
 Within the quotient the search is plain backtracking: anchor at each
-class in turn and extend by ascending class index. A static capacity
+class in turn and extend by ascending least vertex. A static capacity
 bound skips anchors: an independent class can occupy at most floor(L/2)
 positions of a cycle of length L, and the anchor's reach (the classes not
 below it that it reaches through such classes) must hold L vertices. A
@@ -88,38 +88,15 @@ def twin_reps(rows, n: int) -> list:
 
 def twin_classes(rows, n: int) -> list:
     """Twin classes of the non-isolated vertices, each a sorted vertex list,
-    ordered by smallest member: ``twin_reps``'s partition, in one pass that
-    skips zero rows (an isolated vertex is no non-isolated one's twin)."""
-    open_rows, closed_rows = {}, {}
-    classes = []
+    ordered by smallest member: ``twin_reps``'s partition without the class
+    of isolated vertices. Only the benchmark tracer's class counter and the
+    tests call it; the cycle search builds the same partition as masks."""
+    reps = twin_reps(rows, n)
+    classes = {}
     for v in range(n):
-        row = rows[v]
-        if not row:
-            continue
-        members = open_rows.get(row)
-        if members is None:
-            members = open_rows[row] = closed_rows.setdefault(row | 1 << v, [])
-            if not members:
-                classes.append(members)
-        members.append(v)
-    return classes
-
-
-def _quotient(rows, classes):
-    """Class adjacency masks, with its own bit for a class of adjacent twins."""
-    k = len(classes)
-    reps = [ms[0] for ms in classes]
-    step = [0] * k
-    for i in range(k):
-        members = classes[i]
-        if len(members) >= 2 and (rows[members[0]] >> members[1]) & 1:
-            step[i] |= 1 << i
-        row = rows[reps[i]]
-        for j in range(i + 1, k):
-            if (row >> reps[j]) & 1:
-                step[i] |= 1 << j
-                step[j] |= 1 << i
-    return step
+        if rows[v]:
+            classes.setdefault(reps[v], []).append(v)
+    return list(classes.values())
 
 
 def blocks(rows, n: int):
@@ -189,37 +166,34 @@ def blocks(rows, n: int):
     return out, cuts
 
 
-def _separator_weights(rows, classes, step, length):
+def _separator_weights(rows, reps, members, step, length):
     """Chvatal's separator count on the largest class U0 of >= 2 pairwise
     non-adjacent twins, whose neighbours are exactly the classes T: each
     U0 vertex on a cycle sits between two T vertices, so a cycle holds at
     most as many U0 vertices as T vertices. Returns None when that already
-    rules out every cycle of ``length``, else each class's weight for the
-    walk's count: +1 in U0, -1 in T, 0 elsewhere (all 0 without a U0).
+    rules out every cycle of ``length``, else the walk's weight at each
+    class's least vertex: +1 in U0, -1 in T, 0 elsewhere (all 0 without U0).
 
     The static test: a cycle through t >= 1 vertices of T splits into at
     most t paths, each inside a component of G - T, so it has at most |T|
     plus the |T| largest components' vertices; a cycle avoiding T lies in
     one component, and T is not empty.
     """
-    k = len(classes)
-    weight = [0] * k
-    u0 = None
-    for c in range(k):
-        if len(classes[c]) >= 2 and not (step[c] >> c) & 1:
-            if u0 is None or len(classes[c]) > len(classes[u0]):
-                u0 = c
+    weight = [0] * len(rows)
+    u0, most = None, 1  # U0: the first class of the largest size above 1
+    for c in reps:
+        if members[c].bit_count() > most and not (step[c] >> c) & 1:
+            u0, most = c, members[c].bit_count()
     if u0 is None:
         return weight
     weight[u0] = 1
     tverts = rest = 0
-    for c in range(k):
-        mask = sum(1 << v for v in classes[c])
+    for c in reps:
         if (step[u0] >> c) & 1:
             weight[c] = -1
-            tverts |= mask
+            tverts |= members[c]
         else:
-            rest |= mask
+            rest |= members[c]
     sizes = []
     while rest:
         comp = frontier = rest & -rest
@@ -241,10 +215,10 @@ def _separator_weights(rows, classes, step, length):
 def find_cycle_of_length(rows, n: int, length: int, budget: Budget | None = None):
     """First cycle on exactly ``length`` distinct vertices, or None.
 
-    Deterministic: anchors ascend, extensions ascend by class index, and
-    witnesses assign each class's vertices in increasing order. The block
-    and separator bounds (see the module notes) may answer None before any
-    node is drawn from ``budget``.
+    Deterministic: anchors ascend, extensions ascend by each class's least
+    vertex, and witnesses assign each class's vertices in increasing order.
+    The block and separator bounds (see the module notes) may answer None
+    before any node is drawn from ``budget``.
     """
     if length < 3:
         raise ValueError(f"cycle length must be >= 3, got {length}")
@@ -253,38 +227,58 @@ def find_cycle_of_length(rows, n: int, length: int, budget: Budget | None = None
     if budget is None:
         budget = Budget()
 
-    classes = twin_classes(rows, n)
-    step = _quotient(rows, classes)
-    k = len(classes)
-    sizes = [len(ms) for ms in classes]
+    # twin_classes' partition in one pass over the non-isolated rows: a class
+    # is named by its least vertex r, members[r] is its vertex mask, and
+    # ``classes`` is the mask of the r
+    open_rows, closed_rows = {}, {}
+    reps = []
+    classes = 0
+    members = [0] * n
+    for v in range(n):
+        row = rows[v]
+        if not row:
+            continue
+        r = open_rows.get(row)
+        if r is None:
+            r = open_rows[row] = closed_rows.setdefault(row | 1 << v, v)
+            if r == v:
+                reps.append(v)
+                classes |= 1 << v
+        members[r] |= 1 << v
+    # step[r]: the classes adjacent to r's, r too for adjacent twins;
+    # caps[r]: how many places of the cycle r's class can fill
     half = length // 2
+    step = [0] * n
+    sizes = [0] * n
+    caps = [0] * n
+    for r in reps:
+        size = sizes[r] = members[r].bit_count()
+        if rows[r] & members[r]:
+            step[r], caps[r] = rows[r] & classes | 1 << r, size
+        else:
+            step[r], caps[r] = rows[r] & classes, min(size, half)
     weight = None  # per class: +1 in U0, -1 in T, else 0 (see _separator_weights)
     dead = 0  # classes inside the reach of an anchor that failed capacity: they fail too
 
-    for anchor in range(k):
+    for anchor in reps:
         if (dead >> anchor) & 1:
             continue
-        # within[r]: the classes >= anchor at BFS distance <= r from it
-        geq = -1 << anchor
+        # within[d]: the classes >= anchor at BFS distance <= d from it
+        geq = -(1 << anchor)
         reach = frontier = 1 << anchor
         within = [reach]
+        capacity = 0
         while frontier:
             layer = 0
             while frontier:
                 low = frontier & -frontier
                 frontier ^= low
-                layer |= step[low.bit_length() - 1]
+                c = low.bit_length() - 1
+                layer |= step[c]
+                capacity += caps[c]
             frontier = layer & geq & ~reach
             reach |= frontier
             within.append(reach)
-
-        capacity = 0
-        m = reach
-        while m:
-            low = m & -m
-            c = low.bit_length() - 1
-            m ^= low
-            capacity += sizes[c] if (step[c] >> c) & 1 else min(sizes[c], half)
         if capacity < length:
             dead |= reach
             continue
@@ -292,7 +286,7 @@ def find_cycle_of_length(rows, n: int, length: int, budget: Budget | None = None
         if weight is None:
             if max((b.bit_count() for b in blocks(rows, n)[0]), default=0) < length:
                 return None
-            weight = _separator_weights(rows, classes, step, length)
+            weight = _separator_weights(rows, reps, members, step, length)
             if weight is None:
                 return None
 
@@ -339,8 +333,11 @@ def find_cycle_of_length(rows, n: int, length: int, budget: Budget | None = None
             return False
 
         if dfs(anchor, length - 1, -1 if budgets[anchor] else ~(1 << anchor), excess):
-            members = [iter(ms) for ms in classes]
-            return tuple(next(members[c]) for c in [anchor] + path[::-1])
+            cycle = []
+            for c in [anchor] + path[::-1]:
+                cycle.append((members[c] & -members[c]).bit_length() - 1)
+                members[c] &= members[c] - 1  # each class's least unused vertex
+            return tuple(cycle)
     return None
 
 

@@ -14,6 +14,7 @@ import os
 import sys
 
 from . import graph6
+from ._cycles import SearchBudgetExceeded
 from .construct import lower_bound_witness, regular_bounded_components
 from .core import blocks, components, girth, max_degree, min_degree
 from .detect import cycle_spectrum
@@ -187,6 +188,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except SearchBudgetExceeded as exc:
+        print(f"undecided: {exc}", file=sys.stderr)
+        return 1
     except KeyboardInterrupt:
         print("interrupted", file=sys.stderr)
         return 130

@@ -5,8 +5,9 @@ algorithms: cycle queries enumerate vertex subsets and cyclic orders,
 isomorphism is permutation search, and class counting marks whole orbits
 of labeled graphs. The canonicity backtrack is kept in a per-vertex form,
 which builds each unplaced vertex's word bit by bit, the cycle search
-in a per-class form, which tests each candidate class bit by bit, and the
-through-vertex walk with the 2-core peel and distance layers it once had.
+in a per-class form, which tests each candidate class bit by bit, and
+again as it walked its quotient by class index, and the through-vertex
+walk with the 2-core peel and distance layers it once had.
 """
 
 from itertools import combinations, permutations
@@ -14,7 +15,7 @@ import random
 
 import numpy as np
 
-from starwheel._cycles import SearchBudgetExceeded
+from starwheel._cycles import Budget, SearchBudgetExceeded, blocks, twin_classes
 from starwheel.core import Graph
 
 
@@ -239,6 +240,168 @@ def reference_find_cycle_of_length(rows, n: int, length: int, budget):
         if dfs(anchor, 1, total):
             members = [iter(ms) for ms in classes]
             return tuple(next(members[c]) for c in path)
+    return None
+
+
+def _indexed_quotient(rows, classes):
+    """Class adjacency masks over class indices, with its own bit for a
+    class of adjacent twins."""
+    k = len(classes)
+    reps = [ms[0] for ms in classes]
+    step = [0] * k
+    for i in range(k):
+        members = classes[i]
+        if len(members) >= 2 and (rows[members[0]] >> members[1]) & 1:
+            step[i] |= 1 << i
+        row = rows[reps[i]]
+        for j in range(i + 1, k):
+            if (row >> reps[j]) & 1:
+                step[i] |= 1 << j
+                step[j] |= 1 << i
+    return step
+
+
+def _indexed_separator_weights(rows, classes, step, length):
+    """The separator bound's set-up over class indices: None when it rules
+    out every cycle of ``length``, else each class index's weight, +1 in
+    U0, -1 in T, 0 elsewhere."""
+    k = len(classes)
+    weight = [0] * k
+    u0 = None
+    for c in range(k):
+        if len(classes[c]) >= 2 and not (step[c] >> c) & 1:
+            if u0 is None or len(classes[c]) > len(classes[u0]):
+                u0 = c
+    if u0 is None:
+        return weight
+    weight[u0] = 1
+    tverts = rest = 0
+    for c in range(k):
+        mask = sum(1 << v for v in classes[c])
+        if (step[u0] >> c) & 1:
+            weight[c] = -1
+            tverts |= mask
+        else:
+            rest |= mask
+    sizes = []
+    while rest:
+        comp = frontier = rest & -rest
+        while frontier:
+            layer = 0
+            while frontier:
+                low = frontier & -frontier
+                frontier ^= low
+                layer |= rows[low.bit_length() - 1]
+            frontier = layer & rest & ~comp
+            comp |= frontier
+        rest ^= comp
+        sizes.append(comp.bit_count())
+    t = tverts.bit_count()
+    sizes.sort(reverse=True)
+    return None if t + sum(sizes[:t]) < length else weight
+
+
+def reference_indexed_find_cycle_of_length(rows, n: int, length: int, budget: Budget | None = None):
+    """``_cycles.find_cycle_of_length`` as it was when it walked the twin
+    quotient by class index: ``twin_classes`` lists the classes, the
+    quotient is built pair by pair, and every mask of the walk is over
+    class indices. The same answers and the same nodes drawn from
+    ``budget`` as the walk over representatives' vertex masks."""
+    if length < 3:
+        raise ValueError(f"cycle length must be >= 3, got {length}")
+    if length > n:
+        return None
+    if budget is None:
+        budget = Budget()
+
+    classes = twin_classes(rows, n)
+    step = _indexed_quotient(rows, classes)
+    k = len(classes)
+    sizes = [len(ms) for ms in classes]
+    half = length // 2
+    weight = None  # per class: +1 in U0, -1 in T, else 0 (see _indexed_separator_weights)
+    dead = 0  # classes inside the reach of an anchor that failed capacity: they fail too
+
+    for anchor in range(k):
+        if (dead >> anchor) & 1:
+            continue
+        # within[r]: the classes >= anchor at BFS distance <= r from it
+        geq = -1 << anchor
+        reach = frontier = 1 << anchor
+        within = [reach]
+        while frontier:
+            layer = 0
+            while frontier:
+                low = frontier & -frontier
+                frontier ^= low
+                layer |= step[low.bit_length() - 1]
+            frontier = layer & geq & ~reach
+            reach |= frontier
+            within.append(reach)
+
+        capacity = 0
+        m = reach
+        while m:
+            low = m & -m
+            c = low.bit_length() - 1
+            m ^= low
+            capacity += sizes[c] if (step[c] >> c) & 1 else min(sizes[c], half)
+        if capacity < length:
+            dead |= reach
+            continue
+        within += [reach] * (length - len(within))
+        if weight is None:
+            if max((b.bit_count() for b in blocks(rows, n)[0]), default=0) < length:
+                return None
+            weight = _indexed_separator_weights(rows, classes, step, length)
+            if weight is None:
+                return None
+
+        # slack: how many of reach's vertices the cycle leaves out; excess:
+        # U0's vertices left minus T's. A path from c back to the anchor
+        # takes at most t + [c and anchor both in T] of U0's u vertices, so
+        # the steps left need excess <= slack + [c and anchor both in T].
+        slack = -length
+        excess = 0
+        m = reach
+        while m:
+            low = m & -m
+            c = low.bit_length() - 1
+            m ^= low
+            slack += sizes[c]
+            excess += weight[c] * sizes[c]
+        excess -= weight[anchor]
+        limit = slack + (weight[anchor] < 0)
+        budgets = sizes[:]
+        budgets[anchor] -= 1
+        path = []  # filled in reverse as a found cycle unwinds
+
+        def dfs(c, remaining, avail, excess):
+            # avail: classes with multiplicity left; remaining: steps to close
+            budget.remaining -= 1
+            if budget.remaining < 0:
+                raise SearchBudgetExceeded(
+                    f"cycle search exceeded its node budget (length {length})"
+                )
+            if not remaining:
+                return (step[c] >> anchor) & 1
+            if excess > (limit if weight[c] < 0 else slack):
+                return False
+            cand = step[c] & avail & within[remaining]
+            while cand:
+                low = cand & -cand
+                cand ^= low
+                nxt = low.bit_length() - 1
+                budgets[nxt] -= 1
+                if dfs(nxt, remaining - 1, avail if budgets[nxt] else avail ^ low, excess - weight[nxt]):
+                    path.append(nxt)
+                    return True
+                budgets[nxt] += 1
+            return False
+
+        if dfs(anchor, length - 1, -1 if budgets[anchor] else ~(1 << anchor), excess):
+            members = [iter(ms) for ms in classes]
+            return tuple(next(members[c]) for c in [anchor] + path[::-1])
     return None
 
 

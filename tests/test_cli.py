@@ -5,6 +5,7 @@ import sys
 import pytest
 
 import starwheel as sw
+from starwheel import _cycles
 from starwheel.cli import main
 from starwheel.theorems import CONCLUSION_HOLDS, COUNTEREXAMPLE, DEFAULT_CHECKS, Verdict, check_dirac
 
@@ -74,6 +75,13 @@ class TestCertify:
         # the (6, 8) lower-bound witness with the pair (2, 6) toggled
         code, out, _ = run_cli(["certify", "6", "8"], "M?~uf_??G@_F?N?N_\n", monkeypatch, capsys)
         assert code == 1 and out == "bad wheel hub=2 rim=0,8,1,9,3,10,6,11\n"
+
+    def test_exhausted_budget_is_undecided(self, monkeypatch, capsys):
+        # the node budget runs out before the wheel is found: exit 1, no traceback
+        monkeypatch.setattr(_cycles, "DEFAULT_NODE_BUDGET", 1)
+        code, out, err = run_cli(["certify", "6", "8"], "M?~uf_??G@_F?N?N_\n", monkeypatch, capsys)
+        assert code == 1 and out == ""
+        assert err == "undecided: cycle search exceeded its node budget (length 8)\n"
 
     def test_garbage(self, monkeypatch, capsys):
         code, _, err = run_cli(["certify", "4", "6"], "garbage\n", monkeypatch, capsys)

@@ -15,6 +15,7 @@ from _oracles import (
     random_permutation,
     reference_find_cycle_of_length,
     reference_find_cycle_through,
+    reference_indexed_find_cycle_of_length,
 )
 from starwheel import _cycles, detect, ramsey
 from starwheel._cycles import (
@@ -168,6 +169,78 @@ class TestReferenceCycleSearch:
                 with pytest.raises(SearchBudgetExceeded):
                     find_cycle_of_length(rows, n, length, short)
                 assert short.remaining == -1
+
+
+def planted_twin_graphs(rng, count):
+    """Seeded graphs of order 3..14 made of planted twin classes of sizes
+    1..6, each a clique (true twins) or independent (false twins), joined
+    class to class at random, with isolated vertices, under a random
+    labelling, so that a class's later members often sit above other
+    classes' least vertices. Every third graph starts with two independent classes of one
+    size larger than every other independent class, so two classes tie for
+    the separator bound's U0."""
+    for i in range(count):
+        n = 3 + i % 12
+        left = n - rng.randrange(n // 3 + 1)
+        classes = []  # (size, adjacent twins)
+        if i % 3 == 0 and left >= 4:
+            top = rng.randrange(2, min(6, left // 2) + 1)
+            classes += [(top, False), (top, False)]
+            left -= 2 * top
+        else:
+            top = 7  # above every size: no independent class is capped
+        while left:
+            size = rng.randrange(1, min(6, left) + 1)
+            clique = rng.random() < 0.5
+            if not clique and size >= top:
+                size = top - 1
+            classes.append((size, clique))
+            left -= size
+        labels = rng.sample(range(n), n)
+        rows = [0] * n
+        groups = []
+        for size, clique in classes:
+            group = [labels.pop() for _ in range(size)]
+            groups.append(group)
+            if clique:
+                for u, v in combinations(group, 2):
+                    rows[u] |= 1 << v
+                    rows[v] |= 1 << u
+        p = rng.uniform(0.3, 0.9)
+        for a, b in combinations(groups, 2):
+            if rng.random() < p:
+                for u in a:
+                    for v in b:
+                        rows[u] |= 1 << v
+                        rows[v] |= 1 << u
+        yield rows, n
+
+
+class TestIndexedCycleSearch:
+    """find_cycle_of_length against its class-indexed form in _oracles,
+    which walks the same quotient with class indices in place of each
+    class's least vertex: the same answer and the same nodes drawn, or the
+    same exhaustion, at the reference's node count N and at N - 1."""
+
+    @staticmethod
+    def outcome(search, rows, n, length, nodes):
+        budget = Budget(nodes)
+        try:
+            found = search(rows, n, length, budget)
+        except SearchBudgetExceeded:
+            found = "exhausted"
+        return found, budget.remaining
+
+    def test_same_answers_and_nodes_on_planted_twins(self):
+        for rows, n in planted_twin_graphs(random.Random(2201), 600):
+            for length in range(3, n + 1):
+                theirs = Budget()
+                reference_indexed_find_cycle_of_length(rows, n, length, theirs)
+                nodes = DEFAULT_NODE_BUDGET - theirs.remaining
+                for budget in (nodes, nodes - 1):
+                    assert self.outcome(find_cycle_of_length, rows, n, length, budget) == self.outcome(
+                        reference_indexed_find_cycle_of_length, rows, n, length, budget
+                    ), (rows, length, budget)
 
 
 class TestCycleSearchPin:
