@@ -6,8 +6,9 @@ isomorphism is permutation search, and class counting marks whole orbits
 of labeled graphs. The canonicity backtrack is kept in a per-vertex form,
 which builds each unplaced vertex's word bit by bit, the cycle search
 in a per-class form, which tests each candidate class bit by bit, and
-again as it walked its quotient by class index, and the through-vertex
-walk with the 2-core peel and distance layers it once had.
+again as it walked its quotient by class index, the through-vertex
+walk with the 2-core peel and distance layers it once had, and the graph6
+codec as it once packed and unpacked its stream one bit at a time.
 """
 
 from itertools import combinations, permutations
@@ -17,6 +18,7 @@ import numpy as np
 
 from starwheel._cycles import Budget, SearchBudgetExceeded, blocks, twin_classes
 from starwheel.core import Graph
+from starwheel.graph6 import _HEADER, MAX_ORDER, Graph6Error
 
 
 def naive_has_cycle(g: Graph, length: int) -> bool:
@@ -540,3 +542,62 @@ def random_permutation(rng: random.Random, n: int):
     perm = list(range(n))
     rng.shuffle(perm)
     return perm
+
+
+def reference_to_graph6(g: Graph) -> bytes:
+    """``graph6.to_graph6`` as it shifted in one adjacency bit at a time."""
+    if g.n > MAX_ORDER:
+        raise ValueError(f"graph6 short form supports at most {MAX_ORDER} vertices, got {g.n}")
+    out = [g.n + 63]
+    acc = 0
+    filled = 0
+    for col in range(1, g.n):
+        row = g.rows[col]
+        for i in range(col):
+            acc = (acc << 1) | ((row >> i) & 1)
+            filled += 1
+            if filled == 6:
+                out.append(acc + 63)
+                acc = 0
+                filled = 0
+    if filled:
+        out.append((acc << (6 - filled)) + 63)
+    return bytes(out)
+
+
+def reference_from_graph6(data) -> Graph:
+    """``graph6.from_graph6`` as it unpacked a list with one entry per bit."""
+    if isinstance(data, str):
+        data = data.encode("ascii")
+    data = data.strip()
+    if data.startswith(_HEADER):
+        data = data[len(_HEADER):]
+    if not data:
+        raise Graph6Error("empty graph6 string")
+    for byte in data:
+        if not 63 <= byte <= 126:
+            raise Graph6Error(f"byte {byte} outside the graph6 range [63, 126]")
+    n = data[0] - 63
+    if n > MAX_ORDER:
+        raise Graph6Error(f"order {n} exceeds the short-form limit {MAX_ORDER}")
+    nbits = n * (n - 1) // 2
+    body = data[1:]
+    if len(body) != (nbits + 5) // 6:
+        raise Graph6Error(
+            f"expected {(nbits + 5) // 6} adjacency bytes for order {n}, got {len(body)}"
+        )
+    bits = []
+    for byte in body:
+        value = byte - 63
+        bits.extend((value >> shift) & 1 for shift in range(5, -1, -1))
+    rows = [0] * n
+    index = 0
+    for col in range(1, n):
+        for i in range(col):
+            if bits[index]:
+                rows[i] |= 1 << col
+                rows[col] |= 1 << i
+            index += 1
+    if any(bits[index:]):
+        raise Graph6Error("nonzero padding bits")
+    return Graph._of(n, tuple(rows))

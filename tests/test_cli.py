@@ -251,6 +251,18 @@ class TestDeterminism:
         assert runs["1"] == runs["8"]
 
 
+def default_sigint():
+    """Restore SIGINT's default action in a child before it starts Python.
+
+    A job that a non-interactive shell puts in the background starts with
+    SIGINT ignored, and children inherit that; Python installs its
+    KeyboardInterrupt handler only where SIGINT has its default action.
+    """
+    import signal
+
+    signal.signal(signal.SIGINT, signal.SIG_DFL)
+
+
 class TestInterrupt:
     def test_ctrl_c_exits_130_without_traceback(self):
         import signal
@@ -260,6 +272,7 @@ class TestInterrupt:
             [sys.executable, "-m", "starwheel.cli", "search", "5", "8", "--threads", "1"],
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
+            preexec_fn=default_sigint,
         )
         try:
             time.sleep(2)
@@ -284,6 +297,7 @@ class TestInterrupt:
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
             start_new_session=True,
+            preexec_fn=default_sigint,
         )
         try:
             time.sleep(1)
