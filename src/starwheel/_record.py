@@ -1,14 +1,16 @@
-"""Plain bases for the library's result types.
+"""Plain bases for the library's result types, and ``Frozen`` for
+``core.Graph`` too.
 
 Each type lists its fields as ``__slots__`` and fills them in its own
 ``__init__``. The bases supply what ``dataclasses`` would generate:
 equality by fields between instances of one class, a
 ``Name(field=value, ...)`` repr, pickling through the constructor, and
-for ``Frozen`` types no assignment and a hash of the fields. The library
-does not use ``dataclasses`` itself: importing it loads ``inspect``,
-``ast``, ``dis`` and ``tokenize``, and each decorated class compiles its
-generated methods in every fresh interpreter: together about 15 ms and
-0.9 MB of peak memory on each ``import starwheel`` (CPython 3.11).
+for ``Frozen`` types no assignment or deletion and a hash of the fields.
+The library does not use ``dataclasses`` itself: importing it loads
+``inspect``, ``ast``, ``dis`` and ``tokenize``, and each decorated class
+compiles its generated methods in every fresh interpreter: together about
+15 ms and 0.9 MB of peak memory on each ``import starwheel`` (CPython
+3.11).
 """
 
 from __future__ import annotations

@@ -56,11 +56,7 @@ def _cmd_certify(args) -> int:
     if args.m < 3:
         raise ValueError(f"m >= 3 required, got m={args.m}")
     any_bad = False
-    for line in sys.stdin:
-        line = line.strip()
-        if not line:
-            continue
-        g = graph6.from_graph6(line)
+    for g in graph6.iter_graph6_lines(sys.stdin):
         verdict = is_good_coloring(g, args.n, args.m)
         if verdict:
             print("good")
@@ -103,11 +99,7 @@ def _render_spectrum(spectrum) -> str:
 
 
 def _cmd_analyze(args) -> int:
-    for line in sys.stdin:
-        line = line.strip()
-        if not line:
-            continue
-        g = graph6.from_graph6(line)
+    for g in graph6.iter_graph6_lines(sys.stdin):
         low = girth(g)
         spectrum = cycle_spectrum(g)
         high = max(spectrum) if spectrum else None

@@ -10,6 +10,7 @@ from __future__ import annotations
 from collections import deque
 
 from . import _cycles
+from ._record import Frozen
 
 
 def _bits(mask: int):
@@ -20,7 +21,7 @@ def _bits(mask: int):
         mask ^= low
 
 
-class Graph:
+class Graph(Frozen):
     """Immutable simple undirected graph on vertices 0..n-1."""
 
     __slots__ = ("n", "rows")
@@ -41,8 +42,7 @@ class Graph:
             for v in _bits(row):
                 if not (rows[v] >> u) & 1:
                     raise ValueError(f"adjacency not symmetric at ({u}, {v})")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "rows", rows)
+        self._fill(n, rows)
 
     @classmethod
     def _of(cls, n: int, rows: tuple) -> "Graph":
@@ -52,14 +52,6 @@ class Graph:
         object.__setattr__(g, "n", n)
         object.__setattr__(g, "rows", rows)
         return g
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Graph is immutable")
-
-    def __reduce__(self):
-        # pickle and copy rebuild through _of: the default slot-state
-        # restore would go through __setattr__
-        return (Graph._of, (self.n, self.rows))
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":
@@ -129,13 +121,7 @@ class Graph:
                 rows[pu] |= 1 << perm[v]
         return Graph._of(self.n, tuple(rows))
 
-    # -- value semantics ---------------------------------------------------
-
-    def __eq__(self, other):
-        return isinstance(other, Graph) and self.n == other.n and self.rows == other.rows
-
-    def __hash__(self):
-        return hash((self.n, self.rows))
+    # -- value semantics: equality, hash and pickling come from Frozen -----
 
     def __repr__(self):
         return f"Graph(n={self.n}, edges={list(self.edges())})"

@@ -17,7 +17,7 @@ from ._cycles import (
     find_cycle_within,
 )
 from ._record import Frozen
-from .core import Graph, girth
+from .core import Graph
 
 __all__ = [
     "StarWitness",
@@ -188,8 +188,5 @@ def is_pancyclic(g: Graph, node_budget=None) -> bool:
 
 def is_weakly_pancyclic(g: Graph, node_budget=None) -> bool:
     """Cycles of every length from girth through circumference; forests vacuously."""
-    low = girth(g)
-    if low is None:
-        return True
     spectrum = cycle_spectrum(g, node_budget)
-    return spectrum == set(range(low, max(spectrum) + 1))
+    return not spectrum or spectrum == set(range(min(spectrum), max(spectrum) + 1))

@@ -162,17 +162,9 @@ class SearchReport(Frozen):
         return f"{self.n} {self.m} {self.order} {self.outcome} {self.enumerated} {t}"
 
 
-def _wheel_prune(n: int, m: int, order: int, node_budget):
-    """Unused by the scan (see ``_scan_hooks``). The benchmark tracer looks
-    it up by name when it installs its hooks, so it stays until the
-    benchmark change of ROADMAP item 2 deletes it."""
-
-    def prune(g: Graph) -> bool:
-        if g.n >= order or g.n <= m:
-            return False
-        return contains_wheel(g.complement(), m, node_budget) is not None
-
-    return prune
+# Unused: the scan prunes through ``_scan_hooks``. The name stays only
+# because the benchmark tracer looks it up when it installs its hooks.
+_wheel_prune = None
 
 
 def _new_vertex_wheel(rows, m: int, node_budget):

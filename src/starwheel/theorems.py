@@ -131,15 +131,14 @@ def verify_construction(n: int, m: int, node_budget=None) -> Verdict:
 
 
 def _bipartitions(g: Graph):
-    """All side assignments (X, Y) of a bipartite graph: every component's
-    2-coloring can flip, and both orientations are tried."""
+    """All side assignments (X, Y) of a bipartite graph, each once: every
+    component's 2-coloring can flip, and flipping them all swaps X and Y."""
     base = is_bipartite(g)
     if base is None:
         return
     # each component's smallest vertex is in base's X side
     in_y = set(base[1])
     comps = components(g)
-    seen = set()
     for flips in range(1 << len(comps)):
         xs = []
         ys = []
@@ -147,12 +146,7 @@ def _bipartitions(g: Graph):
             flip = (flips >> i) & 1
             for v in comp:
                 (ys if (v in in_y) ^ flip else xs).append(v)
-        for side_a, side_b in ((xs, ys), (ys, xs)):
-            key = tuple(sorted(side_a))
-            if key in seen:
-                continue
-            seen.add(key)
-            yield tuple(sorted(side_a)), tuple(sorted(side_b))
+        yield tuple(sorted(xs)), tuple(sorted(ys))
 
 
 def _fuzz_dirac(g, node_budget):

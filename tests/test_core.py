@@ -63,6 +63,8 @@ class TestFamilies:
         g = cycle(3)
         with pytest.raises(AttributeError):
             g.n = 5
+        with pytest.raises(AttributeError):
+            del g.n
 
 
 class TestComplementAndUnion:

@@ -448,6 +448,18 @@ class TestComputeRamsey:
         assert result.reports[-2].outcome == "good-graph-found"
         assert result.reports[-1].holds
 
+    @pytest.mark.parametrize("n,m,expected", [(2, 4, 5), (3, 4, 9)])
+    def test_walks_down_when_the_formula_overshoots(self, monkeypatch, n, m, expected):
+        # a bound two too high: arrows holds at its order - 1, and the
+        # search walks down to the first order that has a good coloring
+        monkeypatch.setattr(ramsey, "formula", lambda n, m: ramsey.Bound(expected + 2, EXACT, "test"))
+        result = compute_ramsey(n, m)
+        assert result.ramsey_number == expected
+        assert result.extremal.n == expected - 1
+        assert is_good_coloring(result.extremal, n, m)
+        assert [r.order for r in result.reports] == [expected + 1, expected, expected - 1]
+        assert [r.holds for r in result.reports] == [True, True, False]
+
     def test_ceiling_reported(self):
         result = compute_ramsey(4, 6, max_order=9)
         assert not result.decided
