@@ -39,7 +39,7 @@ from .detect import (
     is_pancyclic,
     is_weakly_pancyclic,
 )
-from .enumeration import canonical_form, is_isomorphic
+from .enumeration import canonical_form, enumerate_degree_bounded, is_isomorphic
 from .graph6 import Graph6Error, from_graph6, to_graph6, to_graph6_str
 from .ramsey import (
     Bound,
@@ -50,7 +50,6 @@ from .ramsey import (
     SearchReport,
     arrows,
     compute_ramsey,
-    enumerate_degree_bounded,
     formula,
     is_good_coloring,
 )

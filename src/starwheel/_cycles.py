@@ -166,6 +166,25 @@ def blocks(rows, n: int):
     return out, cuts
 
 
+def components(rows, mask: int) -> list:
+    """The components of the subgraph induced on ``mask``, each a vertex
+    mask, ordered by least vertex."""
+    out = []
+    while mask:
+        comp = frontier = mask & -mask
+        while frontier:
+            layer = 0
+            while frontier:
+                low = frontier & -frontier
+                frontier ^= low
+                layer |= rows[low.bit_length() - 1]
+            frontier = layer & mask & ~comp
+            comp |= frontier
+        mask ^= comp
+        out.append(comp)
+    return out
+
+
 def _separator_weights(rows, reps, members, step, length):
     """Chvatal's separator count on the largest class U0 of >= 2 pairwise
     non-adjacent twins, whose neighbours are exactly the classes T: each
@@ -194,21 +213,8 @@ def _separator_weights(rows, reps, members, step, length):
             tverts |= members[c]
         else:
             rest |= members[c]
-    sizes = []
-    while rest:
-        comp = frontier = rest & -rest
-        while frontier:
-            layer = 0
-            while frontier:
-                low = frontier & -frontier
-                frontier ^= low
-                layer |= rows[low.bit_length() - 1]
-            frontier = layer & rest & ~comp
-            comp |= frontier
-        rest ^= comp
-        sizes.append(comp.bit_count())
+    sizes = sorted((c.bit_count() for c in components(rows, rest)), reverse=True)
     t = tverts.bit_count()
-    sizes.sort(reverse=True)
     return None if t + sum(sizes[:t]) < length else weight
 
 

@@ -16,7 +16,7 @@ import sys
 from . import graph6
 from ._cycles import SearchBudgetExceeded
 from .construct import lower_bound_witness, regular_bounded_components
-from .core import blocks, components, girth, max_degree, min_degree
+from .core import blocks, components, max_degree, min_degree
 from .detect import cycle_spectrum
 from .ramsey import compute_ramsey, formula, is_good_coloring
 from .theorems import DEFAULT_CHECKS, fuzz, fuzz_all_graphs
@@ -100,8 +100,8 @@ def _render_spectrum(spectrum) -> str:
 
 def _cmd_analyze(args) -> int:
     for g in graph6.iter_graph6_lines(sys.stdin):
-        low = girth(g)
         spectrum = cycle_spectrum(g)
+        low = min(spectrum) if spectrum else None
         high = max(spectrum) if spectrum else None
         print(
             f"nu={g.n}"

@@ -186,22 +186,7 @@ def min_degree(g: Graph) -> int:
 
 def components(g: Graph) -> list:
     """Connected components as sorted vertex tuples, ordered by smallest member."""
-    seen = 0
-    out = []
-    for start in range(g.n):
-        if (seen >> start) & 1:
-            continue
-        comp = 1 << start
-        frontier = 1 << start
-        while frontier:
-            nxt = 0
-            for v in _bits(frontier):
-                nxt |= g.rows[v]
-            frontier = nxt & ~comp
-            comp |= frontier
-        seen |= comp
-        out.append(tuple(_bits(comp)))
-    return out
+    return [tuple(_bits(c)) for c in _cycles.components(g.rows, (1 << g.n) - 1)]
 
 
 def is_bipartite(g: Graph):
@@ -247,11 +232,7 @@ def cut_vertices(g: Graph) -> frozenset:
 
 def is_two_connected(g: Graph) -> bool:
     """True iff g has >= 3 vertices, is connected, and has no cut vertex."""
-    if g.n < 3:
-        return False
-    if len(components(g)) != 1:
-        return False
-    return not _block_decomposition(g)[1]
+    return g.n >= 3 and _cycles.blocks(g.rows, g.n)[0] == [(1 << g.n) - 1]
 
 
 # -- shortest cycles ----------------------------------------------------------

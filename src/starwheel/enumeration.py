@@ -355,13 +355,15 @@ def _moved_above(rows, subset, maps) -> bool:
     return False
 
 
-def _extensions(rows, order: int, dmax: int, prune=None, reject=None, proof=None):
+def _extensions(rows, order: int, dmax: int, kept, reject=None, proof=None):
     """The canonical prefix ``rows`` itself once it has ``order`` vertices;
     else its canonical, kept children, descending by neighborhood bitmask,
     each extended depth-first. Each comes as (rows, proof), with the proof
     ``is_canonical`` recorded for it. ``proof`` is the prefix's own; None
     leaves its children to the insertion bound and the plain search. Each
-    child's canonicity test gets ``proof`` as its parent.
+    child's canonicity test gets ``proof`` as its parent. ``kept[j]`` gains
+    1 for each canonical child on j vertices kept, before its subtree is
+    searched; the prefix itself is never counted.
 
     A dropped child vouches for its later siblings: the neighbourhoods
     still to try are filtered once, and those filtered out are never built.
@@ -371,8 +373,6 @@ def _extensions(rows, order: int, dmax: int, prune=None, reject=None, proof=None
     so ``reject`` must not depend on the labeling. A child the canonicity
     test rejects at a position below its new vertex k drops every later S
     that holds need = its own S & the beating prefix's vertex mask.
-    ``prune(child)`` sees only the canonical children; True drops the child
-    and its subtree.
     """
     k = len(rows)
     if k == order:
@@ -405,25 +405,18 @@ def _extensions(rows, order: int, dmax: int, prune=None, reject=None, proof=None
                 need = subset & placed
                 todo = [s for s in todo if s & need != need]
             continue
-        if prune is None or not prune(child):
-            yield from _extensions(child, order, dmax, prune, reject, child_proof)
+        kept[k + 1] += 1
+        yield from _extensions(child, order, dmax, kept, reject, child_proof)
 
 
-def enumerate_degree_bounded(order: int, dmax: int, prune=None):
+def enumerate_degree_bounded(order: int, dmax: int):
     """One representative per isomorphism class of graphs with the given
-    order and maximum degree <= dmax, in a fixed deterministic order.
-
-    ``prune``, when given, is called with every canonical graph the search
-    builds, from the root on min(order, 1) vertices (so also the order-0
-    graph) up to the target order; returning True discards that graph and
-    its entire extension subtree.
+    order and maximum degree <= dmax, each in its canonical labeling, in a
+    fixed deterministic order.
     """
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
     if dmax < 0:
         raise ValueError(f"degree bound must be >= 0, got {dmax}")
-    root = (0,) * min(order, 1)
-    on_rows = None if prune is None else lambda rows: prune(Graph._of(len(rows), rows))
-    if on_rows is None or not on_rows(root):
-        for rows, _ in _extensions(root, order, dmax, on_rows):
-            yield Graph._of(order, rows)
+    for rows, _ in _extensions((0,) * min(order, 1), order, dmax, [0] * (order + 1)):
+        yield Graph._of(order, rows)

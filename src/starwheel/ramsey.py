@@ -12,7 +12,7 @@ itself the star certificate), and an enumeration subtree is abandoned as
 soon as the complement of its prefix graph contains W_m: induced
 subgraphs of the complement persist under extension, so nothing good is
 lost. From the root on, the test runs on raw rows before canonicity and
-looks only for wheels through the new vertex (see ``_scan_hooks``).
+looks only for wheels through the new vertex (see ``_wheel_reject``).
 Enumeration order is fixed and documented (see enumeration), making
 reports reproducible byte for byte and independent of the worker count.
 """
@@ -25,7 +25,7 @@ from ._record import Frozen, Record
 from .construct import lower_bound_witness, theta
 from .core import Graph
 from .detect import StarWitness, WheelWitness, contains_star, contains_wheel, wheel_through
-from .enumeration import _extensions, enumerate_degree_bounded
+from .enumeration import _extensions
 
 __all__ = [
     "Bound",
@@ -38,7 +38,6 @@ __all__ = [
     "arrows",
     "RamseySearch",
     "compute_ramsey",
-    "enumerate_degree_bounded",
 ]
 
 EXACT = "exact"
@@ -162,7 +161,7 @@ class SearchReport(Frozen):
         return f"{self.n} {self.m} {self.order} {self.outcome} {self.enumerated} {t}"
 
 
-# Unused: the scan prunes through ``_scan_hooks``. The name stays only
+# Unused: the scan prunes through ``_wheel_reject``. The name stays only
 # because the benchmark tracer looks it up when it installs its hooks.
 _wheel_prune = None
 
@@ -176,9 +175,9 @@ def _new_vertex_wheel(rows, m: int, node_budget):
     return wheel_through(comp, k - 1, m, node_budget)
 
 
-def _scan_hooks(order: int, m: int, node_budget):
-    """The scan's per-level kept counts and its ``_extensions`` hooks
-    ``count`` and ``reject``, shared by the roots and every subtree.
+def _wheel_reject(order: int, m: int, node_budget):
+    """The scan's ``reject`` hook for ``_extensions``, shared by the roots
+    and every subtree.
 
     Every parent has a W_m-free complement (the root trivially, each deeper
     parent by this test), so a child's complement has a W_m iff it has one
@@ -188,7 +187,6 @@ def _scan_hooks(order: int, m: int, node_budget):
     ``_extensions`` filters every later sibling adjacent to none of them
     out of its list, untested (its wheel rule).
     """
-    kept = [0] * (order + 1)
 
     def reject(rows):
         k = len(rows)
@@ -197,11 +195,7 @@ def _scan_hooks(order: int, m: int, node_budget):
         found = _new_vertex_wheel(rows, m, node_budget)
         return 0 if found is None else found.neighbourhood(k - 1)
 
-    def count(rows):
-        kept[len(rows)] += 1
-        return False
-
-    return kept, count, reject
+    return reject
 
 
 def _scan_task(args):
@@ -217,9 +211,9 @@ def _scan_task(args):
     it has none, else ``reject``'s test decides, on the raw rows.
     """
     root_rows, root_proof, order, n, m, node_budget = args
-    kept, count, reject = _scan_hooks(order, m, node_budget)
+    kept = [0] * (order + 1)
     tested = 0
-    for rows, _ in _extensions(root_rows, order, n - 1, count, reject, root_proof):
+    for rows, _ in _extensions(root_rows, order, n - 1, kept, _wheel_reject(order, m, node_budget), root_proof):
         tested += 1
         if order <= m or _new_vertex_wheel(rows, m, node_budget) is None:
             return tested, rows, kept
@@ -244,9 +238,9 @@ def arrows(order: int, n: int, m: int, workers: int = 1, node_budget=None) -> Se
     started = time.perf_counter()
 
     # one scan task per kept canonical graph on ``split`` vertices
-    kept, count, reject = _scan_hooks(order, m, node_budget)
+    kept = [0] * (order + 1)
     split = order if order <= 1 else min(6, order - 1)
-    roots = _extensions((0,) * min(order, 1), split, n - 1, count, reject)
+    roots = _extensions((0,) * min(order, 1), split, n - 1, kept, _wheel_reject(order, m, node_budget))
     tasks = [(rows, proof, order, n, m, node_budget) for rows, proof in roots]
 
     total = 0

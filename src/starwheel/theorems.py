@@ -23,7 +23,7 @@ from .core import (
     min_degree,
 )
 from .detect import contains_star, contains_wheel, has_cycle_of_length, is_weakly_pancyclic
-from .ramsey import enumerate_degree_bounded
+from .enumeration import enumerate_degree_bounded
 
 __all__ = [
     "HYPOTHESIS_NOT_MET",

@@ -186,6 +186,8 @@ class TestConnectivity:
         assert not is_two_connected(path(4))
         assert not is_two_connected(complete(2))
         assert not is_two_connected(cycle(3).disjoint_union(cycle(3)))
+        assert not is_two_connected(cycle(4).disjoint_union(empty_graph(1)))
+        assert not is_two_connected(empty_graph(3))
 
 
 class TestGirthCircumference:

@@ -22,6 +22,7 @@ from starwheel._cycles import (
     DEFAULT_NODE_BUDGET,
     Budget,
     blocks,
+    components,
     find_cycle_of_length,
     find_cycle_through,
     find_cycle_within,
@@ -737,6 +738,29 @@ class TestTwinPartition:
                     groups.setdefault(reps[v], []).append(v)
             expected = sorted(groups.values(), key=lambda ms: ms[0])
             assert twin_classes(g.rows, g.n) == expected, g
+
+
+class TestComponents:
+    """``components`` against networkx's components of the induced
+    subgraph, in the same order: by least vertex."""
+
+    def test_matches_networkx_on_induced_subgraphs(self):
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(2025)
+        for _ in range(120):
+            isolated = rng.randrange(3)
+            g = random_graph(rng, rng.randrange(13 - isolated), p=rng.choice([0.1, 0.2, 0.4]))
+            g = g.disjoint_union(empty_graph(isolated))
+            h = nx.Graph()
+            h.add_nodes_from(range(g.n))
+            h.add_edges_from(g.edges())
+            full = (1 << g.n) - 1
+            masks = [0, full, *(1 << v for v in range(g.n)), *(rng.getrandbits(g.n) for _ in range(4))]
+            for mask in masks:
+                verts = [v for v in range(g.n) if (mask >> v) & 1]
+                parts = sorted(nx.connected_components(h.subgraph(verts)), key=min)
+                expected = [sum(1 << v for v in part) for part in parts]
+                assert components(g.rows, mask) == expected, (g.rows, mask)
 
 
 class TestDeterministicWitnesses:

@@ -199,17 +199,6 @@ class TestEnumeration:
         second = [g.rows for g in enumerate_degree_bounded(6, 3)]
         assert first == second
 
-    def test_prune_kills_subtrees(self):
-        everything = list(enumerate_degree_bounded(5, 4))
-        nothing = list(enumerate_degree_bounded(5, 4, prune=lambda g: True))
-        assert nothing == []
-        # pruning graphs with an edge leaves exactly the edgeless class
-        edgeless_only = list(
-            enumerate_degree_bounded(5, 4, prune=lambda g: g.edge_count() > 0)
-        )
-        assert len(edgeless_only) == 1 and edgeless_only[0].edge_count() == 0
-        assert len(everything) == 34
-
     def test_swap_bound_skips_only_non_canonical_children(self, corpus_by_order):
         # every child of every canonical graph on up to 7 vertices: a
         # neighbourhood the child loop leaves out never gives a canonical child

@@ -209,6 +209,16 @@ class TestArrows:
         assert (a.outcome, a.enumerated, a.witness) == (b.outcome, b.enumerated, b.witness)
 
     @pytest.mark.parametrize(
+        "order,survivors",
+        [(0, {}), (1, {}), (2, {2: 1}), (3, {2: 2, 3: 1}), (4, {2: 2, 3: 2, 4: 1})],
+    )
+    def test_smallest_orders_pinned(self, order, survivors):
+        # (n, m) = (2, 4) below R = 5: the first graph enumerated is good;
+        # at orders 0 and 1 the root is the target and nothing is kept
+        report = arrows(order, 2, 4)
+        assert (report.outcome, report.enumerated, report.survivors) == ("good-graph-found", 1, survivors)
+
+    @pytest.mark.parametrize(
         "order,n,m,survivors",
         [
             (11, 4, 6, {2: 2, 3: 4, 4: 11, 5: 23, 6: 62, 7: 102, 8: 104, 9: 20, 10: 3, 11: 3}),
@@ -343,9 +353,9 @@ class TestArrows:
         # the scan tests a target-order graph only for a complement W_m
         # through its new vertex; its parent's complement is W_m-free, so
         # that agrees with contains_wheel over every hub
-        _, count, reject = ramsey._scan_hooks(order, m, None)
+        reject = ramsey._wheel_reject(order, m, None)
         tested = 0
-        for rows, _ in enumeration._extensions((0,), order, n - 1, count, reject):
+        for rows, _ in enumeration._extensions((0,), order, n - 1, [0] * (order + 1), reject):
             full = contains_wheel(Graph._of(order, rows).complement(), m)
             assert (ramsey._new_vertex_wheel(rows, m, None) is None) == (full is None), rows
             tested += 1
