@@ -140,18 +140,19 @@ def contains_wheel(g: Graph, m: int, node_budget=None):
     return None
 
 
-def wheel_through(rows, v: int, m: int, node_budget=None):
+def wheel_through(rows, v: int, m: int):
     """A WheelWitness for a W_m that uses vertex v, or None, on raw rows.
 
     v is either the hub, tried first (a C_m inside N(v)), or on the rim of
     a hub h in N(v), tried ascending: h needs degree >= m and v two rim
     neighbours in N(v) & N(h), and the rim is a C_m through v inside N(h).
-    All searches draw on one budget. Every W_m of g either uses v or lies
-    in g - v, so when g - v has none this decides whether g has one.
+    All searches draw on one fresh default budget. Every W_m of g either
+    uses v or lies in g - v, so when g - v has none this decides whether g
+    has one.
     """
     if m < 3:
         raise ValueError(f"wheel rim length must be >= 3, got {m}")
-    budget = Budget(node_budget)
+    budget = Budget()
     nbrs = rows[v]
     if nbrs.bit_count() >= m:
         found = find_cycle_within(rows, nbrs, m, budget)

@@ -128,10 +128,12 @@ class SearchReport(Frozen):
     field order); timing is suppressed to ``-`` unless requested, keeping
     reports byte-identical across runs and worker counts. ``survivors``
     maps each level from 2 on to the number of canonical graphs of that
-    order the wheel prune kept, target-order graphs included, up to the
-    first good coloring; it is not part of the line, is the same for every
-    worker count, and is empty when nothing was enumerated. Equality
-    compares ``survivors`` too; the hash leaves it out.
+    order the wheel prune kept, target-order graphs included. The levels
+    up to the root split, min(6, order - 1), are counted in full; when a
+    good coloring is found, the deeper ones only up to it. It is not part
+    of the line, is the same for every worker count, and is empty when
+    nothing was enumerated. Equality compares ``survivors`` too; the hash
+    leaves it out.
     """
 
     __slots__ = ("n", "m", "order", "outcome", "enumerated", "elapsed_ms", "witness", "survivors")
@@ -166,36 +168,29 @@ class SearchReport(Frozen):
 _wheel_prune = None
 
 
-def _new_vertex_wheel(rows, m: int, node_budget):
-    """A W_m through the last vertex of ``rows`` in their complement, or
-    None, on raw rows."""
-    k = len(rows)
-    full = (1 << k) - 1
-    comp = [full ^ row ^ (1 << u) for u, row in enumerate(rows)]
-    return wheel_through(comp, k - 1, m, node_budget)
+def _new_vertex_wheel(rows, m: int) -> int:
+    """The sibling mask of a W_m through the last vertex v of ``rows`` in
+    their complement, on raw rows: the wheel's ``neighbourhood(v)``, or 0
+    when there is none."""
+    v = len(rows) - 1
+    full = (1 << len(rows)) - 1
+    found = wheel_through([full ^ row ^ (1 << u) for u, row in enumerate(rows)], v, m)
+    return 0 if found is None else found.neighbourhood(v)
 
 
-def _wheel_reject(order: int, m: int, node_budget):
+def _wheel_reject(order: int, m: int):
     """The scan's ``reject`` hook for ``_extensions``, shared by the roots
     and every subtree.
 
     Every parent has a W_m-free complement (the root trivially, each deeper
     parent by this test), so a child's complement has a W_m iff it has one
     through the new vertex v. ``reject`` tests that on the child's raw rows,
-    with one ``node_budget`` per child. The wheel found joins v in the
-    complement only to the parent vertices of its ``neighbourhood(v)``, so
-    ``_extensions`` filters every later sibling adjacent to none of them
-    out of its list, untested (its wheel rule).
+    each child's search on a fresh default budget. The wheel found joins v
+    in the complement only to the parent vertices of its
+    ``neighbourhood(v)``, so ``_extensions`` filters every later sibling
+    adjacent to none of them out of its list, untested (its wheel rule).
     """
-
-    def reject(rows):
-        k = len(rows)
-        if k <= m or k >= order:
-            return 0
-        found = _new_vertex_wheel(rows, m, node_budget)
-        return 0 if found is None else found.neighbourhood(k - 1)
-
-    return reject
+    return lambda rows: _new_vertex_wheel(rows, m) if m < len(rows) < order else 0
 
 
 def _scan_task(args):
@@ -210,17 +205,17 @@ def _scan_task(args):
     has a W_m iff it has one through the new vertex: on at most m vertices
     it has none, else ``reject``'s test decides, on the raw rows.
     """
-    root_rows, root_proof, order, n, m, node_budget = args
+    root_rows, root_proof, order, n, m = args
     kept = [0] * (order + 1)
     tested = 0
-    for rows, _ in _extensions(root_rows, order, n - 1, kept, _wheel_reject(order, m, node_budget), root_proof):
+    for rows, _ in _extensions(root_rows, order, n - 1, kept, _wheel_reject(order, m), root_proof):
         tested += 1
-        if order <= m or _new_vertex_wheel(rows, m, node_budget) is None:
+        if order <= m or not _new_vertex_wheel(rows, m):
             return tested, rows, kept
     return tested, None, kept
 
 
-def arrows(order: int, n: int, m: int, workers: int = 1, node_budget=None) -> SearchReport:
+def arrows(order: int, n: int, m: int, workers: int = 1) -> SearchReport:
     """Decide whether every graph on ``order`` vertices yields K_{1,n} or a
     complement W_m: returns the first good coloring in enumeration order as
     a counterexample, else arrows-holds.
@@ -240,8 +235,8 @@ def arrows(order: int, n: int, m: int, workers: int = 1, node_budget=None) -> Se
     # one scan task per kept canonical graph on ``split`` vertices
     kept = [0] * (order + 1)
     split = order if order <= 1 else min(6, order - 1)
-    roots = _extensions((0,) * min(order, 1), split, n - 1, kept, _wheel_reject(order, m, node_budget))
-    tasks = [(rows, proof, order, n, m, node_budget) for rows, proof in roots]
+    roots = _extensions((0,) * min(order, 1), split, n - 1, kept, _wheel_reject(order, m))
+    tasks = [(rows, proof, order, n, m) for rows, proof in roots]
 
     total = 0
     witness_rows = None
@@ -313,7 +308,7 @@ class RamseySearch(Record):
         return self.ramsey_number is not None
 
 
-def compute_ramsey(n: int, m: int, max_order: int | None = None, workers: int = 1, node_budget=None) -> RamseySearch:
+def compute_ramsey(n: int, m: int, max_order: int | None = None, workers: int = 1) -> RamseySearch:
     """Smallest N <= max_order with arrows(N, n, m), by exhaustive search.
 
     Scanning starts at formula(n, m).value - 1, where the lower-bound
@@ -330,7 +325,7 @@ def compute_ramsey(n: int, m: int, max_order: int | None = None, workers: int = 
     reports = []
 
     def run(order: int) -> SearchReport:
-        report = _witness_shortcut(order, n, m) or arrows(order, n, m, workers, node_budget)
+        report = _witness_shortcut(order, n, m) or arrows(order, n, m, workers)
         reports.append(report)
         return report
 

@@ -250,6 +250,20 @@ class TestDeterminism:
             runs[threads] = proc.stdout
         assert runs["1"] == runs["8"]
 
+    def test_search_byte_identical_under_optimize(self):
+        # python -O strips assert statements: no answer may rest on one
+        runs = [
+            subprocess.run(
+                [sys.executable, *flags, "-m", "starwheel.cli", "search", "4", "6", "--threads", "1"],
+                capture_output=True,
+                timeout=300,
+            )
+            for flags in ((), ("-O",))
+        ]
+        assert [proc.returncode for proc in runs] == [0, 0]
+        assert runs[0].stdout.decode().splitlines()[-1] == "R(K_{1,4},W_6) = 11"
+        assert runs[0].stdout == runs[1].stdout
+
 
 def default_sigint():
     """Restore SIGINT's default action in a child before it starts Python.

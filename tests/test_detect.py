@@ -490,10 +490,11 @@ class TestWheelThrough:
         with pytest.raises(ValueError):
             wheel_through(complete(5).rows, 0, 2)
 
-    def test_budget_exhaustion_is_an_error(self):
+    def test_budget_exhaustion_is_an_error(self, monkeypatch):
         g = complete(7)
+        monkeypatch.setattr(_cycles, "DEFAULT_NODE_BUDGET", 3)
         with pytest.raises(SearchBudgetExceeded):
-            wheel_through(g.rows, 0, 6, node_budget=3)
+            wheel_through(g.rows, 0, 6)
 
 
 class TestCycleThrough:

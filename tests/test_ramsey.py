@@ -8,11 +8,17 @@ import pytest
 
 import starwheel
 from _oracles import naive_contains_wheel
-from starwheel import enumeration, ramsey
+from starwheel import _cycles, enumeration, ramsey
 from starwheel.construct import lower_bound_witness, theta
 from starwheel.core import Graph, complete, empty_graph, max_degree
-from starwheel.detect import SearchBudgetExceeded, StarWitness, contains_wheel, wheel_through
-from starwheel.enumeration import is_canonical
+from starwheel.detect import (
+    SearchBudgetExceeded,
+    StarWitness,
+    contains_wheel,
+    has_cycle_of_length,
+    wheel_through,
+)
+from starwheel.enumeration import canonical_form, is_canonical
 from starwheel.ramsey import (
     EXACT,
     LOWER_ONLY,
@@ -353,11 +359,11 @@ class TestArrows:
         # the scan tests a target-order graph only for a complement W_m
         # through its new vertex; its parent's complement is W_m-free, so
         # that agrees with contains_wheel over every hub
-        reject = ramsey._wheel_reject(order, m, None)
+        reject = ramsey._wheel_reject(order, m)
         tested = 0
         for rows, _ in enumeration._extensions((0,), order, n - 1, [0] * (order + 1), reject):
             full = contains_wheel(Graph._of(order, rows).complement(), m)
-            assert (ramsey._new_vertex_wheel(rows, m, None) is None) == (full is None), rows
+            assert (not ramsey._new_vertex_wheel(rows, m)) == (full is None), rows
             tested += 1
         assert tested == graphs == arrows(order, n, m).enumerated
 
@@ -378,8 +384,9 @@ class TestArrows:
                 assert not naive_contains_wheel(report.witness.complement(), m)
 
     def test_budget_exhaustion_propagates(self, monkeypatch):
-        # the roots survive this budget; a scan task runs out, so the pooled
-        # test below sees the exception cross from a worker
+        # each child's wheel test draws on a fresh default budget; the roots
+        # survive this one, a scan task runs out, so the pooled test below
+        # sees the exception cross from a worker
         scan = ramsey._scan_task
         raised = []
 
@@ -391,21 +398,28 @@ class TestArrows:
                 raise
 
         monkeypatch.setattr(ramsey, "_scan_task", scan_task)
+        monkeypatch.setattr(_cycles, "DEFAULT_NODE_BUDGET", 50)
         with pytest.raises(SearchBudgetExceeded):
-            arrows(11, 4, 6, node_budget=50)
+            arrows(11, 4, 6)
         assert raised
 
-    def test_budget_exhaustion_propagates_from_pool(self):
-        # in a subprocess, so that a pool that fails to shut down fails the timeout
-        script = (
+    def test_budget_exhaustion_propagates_from_pool(self, tmp_path):
+        # in a subprocess, so that a pool that fails to shut down fails the
+        # timeout; from a script file, whose top level every worker runs
+        # under any start method, so each has the small budget
+        script = tmp_path / "exhaust.py"
+        script.write_text(
+            "from starwheel import _cycles\n"
             "from starwheel.detect import SearchBudgetExceeded\n"
             "from starwheel.ramsey import arrows\n"
-            "try:\n"
-            "    arrows(11, 4, 6, workers=2, node_budget=50)\n"
-            "except SearchBudgetExceeded:\n"
-            "    print('exhausted')\n"
+            "_cycles.DEFAULT_NODE_BUDGET = 50\n"
+            "if __name__ == '__main__':\n"
+            "    try:\n"
+            "        arrows(11, 4, 6, workers=2)\n"
+            "    except SearchBudgetExceeded:\n"
+            "        print('exhausted')\n"
         )
-        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, timeout=120)
+        proc = subprocess.run([sys.executable, str(script)], capture_output=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == b"exhausted\n"
 
@@ -445,6 +459,42 @@ class TestArrows:
             arrows(4, 2, 2)
         with pytest.raises(ValueError):
             arrows(-1, 2, 4)
+
+
+class TestExtremalColorings:
+    # every good coloring on R-1 vertices, up to isomorphism, as the scan's
+    # own tree lists them: the wheel test runs at every level up to R-1
+    @pytest.mark.parametrize(
+        "n,m,order,classes,children",
+        [(4, 4, 8, 27, 68), (4, 5, 12, 1, 1), (4, 6, 10, 3, 3), (4, 7, 12, 1, 1), (3, 8, 10, 5, 5), (5, 6, 12, 5, 5)],
+    )
+    def test_class_counts_and_core_lemma(self, n, m, order, classes, children):
+        assert formula(n, m).value == order + 1
+        listed = list(enumeration._extensions((0,), order, n - 1, [0] * (order + 1), ramsey._wheel_reject(order + 1, m)))
+        graphs = [Graph._of(order, rows) for rows, _ in listed]
+        assert len(graphs) == classes
+        assert all(is_good_coloring(g, n, m) for g in graphs)
+        assert len({canonical_form(g) for g in graphs}) == classes
+        for g in graphs:
+            # the core lemma: outside N[v] of a maximum-degree vertex v lies
+            # a graph of max degree <= d whose complement has no C_m, since
+            # v would be the hub of a complement W_m on it
+            d = max_degree(g)
+            for v in range(order):
+                if g.degree(v) < d:
+                    continue
+                core = g.induced_subgraph([u for u in range(order) if u != v and not g.has_edge(u, v)])
+                assert core.n == order - 1 - d and max_degree(core) <= d, (g.rows, v)
+                assert has_cycle_of_length(core.complement(), m) is None, (g.rows, v)
+        # the canonical children of the listed graphs are the graphs that
+        # the order-R scan tests, and it finds a complement W_m in each
+        tested = sum(
+            1
+            for rows, proof in listed
+            for _ in enumeration._extensions(rows, order + 1, n - 1, [0] * (order + 2), None, proof)
+        )
+        report = arrows(order + 1, n, m)
+        assert report.holds and tested == children == report.enumerated
 
 
 class TestComputeRamsey:
