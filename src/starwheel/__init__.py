@@ -3,7 +3,7 @@ R(K_{1,n}, W_m), the extremal lower-bound constructions, certified
 star/wheel detection, and exact small Ramsey numbers by isomorph-free
 exhaustive search."""
 
-from ._cycles import DEFAULT_NODE_BUDGET, SearchBudgetExceeded
+from ._cycles import SearchBudgetExceeded
 from .construct import (
     circulant,
     lower_bound_witness,

@@ -49,6 +49,9 @@ The scan's rim tests often have such masks (a hub of degree exactly m),
 and the peel's repeated passes would only matter on larger masks. The
 walk's last two steps are one loop, not two levels of calls: most nodes
 that deep are dead ends, and a call per candidate was most of their cost.
+The walk is a closure that refers to itself; it drops its own name once
+done, so refcounting frees it and the scan leaves the cyclic collector
+nothing (``find_cycle_of_length``'s walk still does).
 ``find_cycle_within`` anchors it at each vertex in turn.
 """
 
@@ -404,7 +407,9 @@ def find_cycle_through(rows, v: int, allowed: int, length: int, budget: Budget):
             path.pop()
         return False
 
-    return tuple(path) if dfs(v, 1 << v, 1) else None
+    found = dfs(v, 1 << v, 1)
+    del dfs  # dfs holds a reference to itself: drop it so refcounting frees it
+    return tuple(path) if found else None
 
 
 def find_cycle_within(rows, allowed: int, length: int, budget: Budget):

@@ -140,15 +140,15 @@ def contains_wheel(g: Graph, m: int, node_budget=None):
     return None
 
 
-def wheel_through(rows, v: int, m: int):
-    """A WheelWitness for a W_m that uses vertex v, or None, on raw rows.
+def _wheel_through(rows, v: int, m: int):
+    """``wheel_through``'s search, raw: (hub, rim) or None, with no
+    witness built. The arrows scan calls it once per child and reads only
+    the sibling mask, so it takes the tuple.
 
     v is either the hub, tried first (a C_m inside N(v)), or on the rim of
     a hub h in N(v), tried ascending: h needs degree >= m and v two rim
-    neighbours in N(v) & N(h), and the rim is a C_m through v inside N(h).
-    All searches draw on one fresh default budget. Every W_m of g either
-    uses v or lies in g - v, so when g - v has none this decides whether g
-    has one.
+    neighbours in N(v) & N(h), and the rim is a C_m through v inside N(h),
+    starting at v. All searches draw on one fresh default budget.
     """
     if m < 3:
         raise ValueError(f"wheel rim length must be >= 3, got {m}")
@@ -157,7 +157,7 @@ def wheel_through(rows, v: int, m: int):
     if nbrs.bit_count() >= m:
         found = find_cycle_within(rows, nbrs, m, budget)
         if found is not None:
-            return WheelWitness(v, found)
+            return v, found
     hubs = nbrs
     while hubs:
         low = hubs & -hubs
@@ -168,8 +168,18 @@ def wheel_through(rows, v: int, m: int):
             continue
         found = find_cycle_through(rows, v, around, m, budget)
         if found is not None:
-            return WheelWitness(hub, found)
+            return hub, found
     return None
+
+
+def wheel_through(rows, v: int, m: int):
+    """A WheelWitness for a W_m that uses vertex v, or None, on raw rows:
+    ``_wheel_through``'s (hub, rim) as a witness. Every W_m of g either
+    uses v or lies in g - v, so when g - v has none this decides whether g
+    has one.
+    """
+    found = _wheel_through(rows, v, m)
+    return None if found is None else WheelWitness(*found)
 
 
 def cycle_spectrum(g: Graph, node_budget=None) -> set:

@@ -77,8 +77,9 @@ parent and none beats; only the new vertex v's word is new. When v keeps
 every parent twin class whole (the child's twin partition, less v, is the
 parent's), the test walks the parent's record and keeps only v's word
 along the path: a beat by v rejects the child with that prefix, a tie
-runs the plain backtrack below with v placed there, and the rest of the
-node is the parent's recorded branches. If v joins a parent twin class
+runs the plain backtrack below with v placed there, on the parent
+vertices off the path (rebuilt from the path only then), and the rest of
+the node is the parent's recorded branches. If v joins a parent twin class
 as a twin, v is tried first at every node where that class ties, so the
 class's recorded branch is skipped, as the plain search dedupes it. The
 walked entries and the new nodes form the child's own record. A child
@@ -176,12 +177,10 @@ def _improvement(rows, n: int, proof=None, parent=None):
         twin = rep[v]  # v itself unless v joins a parent class
         targets = [row & ((1 << d) - 1) for d, row in enumerate(rows)]
         words = [0] * n  # v's word at each depth of the current path
-        left = [0] * n  # the parent vertices unplaced there
-        left[0] = last - 1
         append = record.append
         order[0] = v
         append(1 << _DEPTH_SHIFT | v)
-        found = attempt(1, left[0])  # at the root v ties, as every vertex does
+        found = attempt(1, last - 1)  # at the root v ties, as every vertex does
         if found:
             return found
         skip = n
@@ -196,7 +195,6 @@ def _improvement(rows, n: int, proof=None, parent=None):
             skip = n
             order[d - 1] = u
             append(e)
-            left[d] = left[d - 1] ^ (1 << u)
             word = words[d - 1]
             if (nbrs >> u) & 1:
                 word |= 1 << (d - 1)
@@ -213,7 +211,10 @@ def _improvement(rows, n: int, proof=None, parent=None):
                     leaves.append(order[:])
             else:
                 append((d + 1) << _DEPTH_SHIFT | v)
-                found = attempt(d + 1, left[d])
+                unplaced = last - 1  # the parent vertices off the path
+                for w in order[:d]:
+                    unplaced ^= 1 << w
+                found = attempt(d + 1, unplaced)
                 if found:
                     return found
         return 0
@@ -223,6 +224,7 @@ def _improvement(rows, n: int, proof=None, parent=None):
     else:
         # position 0 carries no word: every vertex ties there
         found = attempt(0, (1 << n) - 1)
+    del attempt  # attempt holds a reference to itself: drop it so refcounting frees it
     if not found:
         if proof is not None:
             identity = list(range(n))
@@ -329,6 +331,7 @@ def _candidates(rows, dmax: int, twins=None):
         out.append(subset)
 
     descend(k - 1, 0, dmax, 0)
+    del descend  # descend holds a reference to itself: drop it so refcounting frees it
     return out
 
 

@@ -24,7 +24,7 @@ import time
 from ._record import Frozen, Record
 from .construct import lower_bound_witness, theta
 from .core import Graph
-from .detect import StarWitness, WheelWitness, contains_star, contains_wheel, wheel_through
+from .detect import StarWitness, WheelWitness, _wheel_through, contains_star, contains_wheel
 from .enumeration import _extensions
 
 __all__ = [
@@ -171,11 +171,21 @@ _wheel_prune = None
 def _new_vertex_wheel(rows, m: int) -> int:
     """The sibling mask of a W_m through the last vertex v of ``rows`` in
     their complement, on raw rows: the wheel's ``neighbourhood(v)``, or 0
-    when there is none."""
+    when there is none. It is read off the raw (hub, rim), with no witness
+    built: the rim when v is the hub, else the hub and the rim's second
+    and last vertices, as a rim through v starts at v."""
     v = len(rows) - 1
     full = (1 << len(rows)) - 1
-    found = wheel_through([full ^ row ^ (1 << u) for u, row in enumerate(rows)], v, m)
-    return 0 if found is None else found.neighbourhood(v)
+    found = _wheel_through([full ^ row ^ (1 << u) for u, row in enumerate(rows)], v, m)
+    if found is None:
+        return 0
+    hub, rim = found
+    if hub != v:
+        return 1 << hub | 1 << rim[1] | 1 << rim[-1]
+    mask = 0
+    for u in rim:
+        mask |= 1 << u
+    return mask
 
 
 def _wheel_reject(order: int, m: int):

@@ -33,6 +33,8 @@ from starwheel.construct import lower_bound_witness
 from starwheel.core import Graph, complete, cycle, empty_graph, max_degree, path, star, wheel
 from starwheel.detect import (
     SearchBudgetExceeded,
+    WheelWitness,
+    _wheel_through,
     contains_star,
     contains_wheel,
     cycle_spectrum,
@@ -479,6 +481,22 @@ class TestWheelThrough:
                     if found is not None:
                         assert found.validate(g, m) and v in (found.hub, *found.rim)
 
+    def test_witness_wraps_the_raw_search(self):
+        # the scan reads the raw (hub, rim); the public witness is built from it
+        rng = random.Random(59)
+        hits = 0
+        for _ in range(80):
+            g = random_graph(rng, rng.randrange(4, 10), rng.choice([0.5, 0.7, 0.85]))
+            for m in (3, 4, 5, 6):
+                for v in range(g.n):
+                    found = _wheel_through(g.rows, v, m)
+                    if found is None:
+                        assert wheel_through(g.rows, v, m) is None
+                    else:
+                        assert wheel_through(g.rows, v, m) == WheelWitness(*found)
+                        hits += 1
+        assert hits > 100
+
     def test_wheel_itself_from_every_vertex(self):
         g = wheel(6)
         for v in range(7):
@@ -530,9 +548,9 @@ class TestCycleThrough:
 
     def test_same_cycles_as_the_pruned_walk_in_a_scan(self, monkeypatch):
         # every walk of the order-13 scan of R(K_{1,4}, W_7) = 13, and every
-        # wheel test's witness once the reference walk stands in for it
+        # wheel test's raw (hub, rim) once the reference walk stands in for it
         walks, tests = [], []
-        walk, test = find_cycle_through, ramsey.wheel_through
+        walk, test = find_cycle_through, ramsey._wheel_through
 
         def recorded_walk(*args):
             found = walk(*args)
@@ -546,7 +564,7 @@ class TestCycleThrough:
 
         monkeypatch.setattr(_cycles, "find_cycle_through", recorded_walk)
         monkeypatch.setattr(detect, "find_cycle_through", recorded_walk)
-        monkeypatch.setattr(ramsey, "wheel_through", recorded_test)
+        monkeypatch.setattr(ramsey, "_wheel_through", recorded_test)
         assert ramsey.arrows(13, 4, 7).survivors[8] == 279
         assert len(tests) == 1690 and len(walks) > 1000
         for args, found in walks:

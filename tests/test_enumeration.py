@@ -1,3 +1,4 @@
+import gc
 import random
 from itertools import combinations
 
@@ -152,6 +153,12 @@ class TestEnumeration:
     )
     def test_counts(self, order, dmax, expected):
         assert sum(1 for _ in enumerate_degree_bounded(order, dmax)) == expected
+
+    def test_leaves_no_cyclic_garbage(self, no_gc):
+        # the candidate and canonicity searches drop their references to
+        # themselves when done, so refcounting frees all they make
+        assert sum(1 for _ in enumerate_degree_bounded(8, 3)) == 424
+        assert gc.collect() == 0
 
     def test_counts_against_labeled_oracle(self):
         for n in range(1, 7):

@@ -1,4 +1,5 @@
 import ast
+import gc
 import multiprocessing
 import subprocess
 import sys
@@ -19,6 +20,7 @@ from starwheel.detect import (
     wheel_through,
 )
 from starwheel.enumeration import canonical_form, is_canonical
+from starwheel.graph6 import from_graph6
 from starwheel.ramsey import (
     EXACT,
     LOWER_ONLY,
@@ -174,6 +176,17 @@ class TestGoodness:
         with pytest.raises(SearchBudgetExceeded):
             is_good_coloring(Graph(len(rows), rows), 19, 18, node_budget=10**5)
 
+    def test_default_budget_is_the_cycle_engines(self, monkeypatch):
+        # the (6, 8) witness with one pair flipped is bad on the default
+        # budget; _cycles.DEFAULT_NODE_BUDGET, the one name Budget() reads,
+        # bounds it, and the package exports no copy that would not
+        g = from_graph6("M?~uf_??G@_F?N?N_")
+        assert not is_good_coloring(g, 6, 8)
+        assert not hasattr(starwheel, "DEFAULT_NODE_BUDGET")
+        monkeypatch.setattr(_cycles, "DEFAULT_NODE_BUDGET", 1)
+        with pytest.raises(SearchBudgetExceeded):
+            is_good_coloring(g, 6, 8)
+
 
 class TestArrows:
     def test_counterexample_at_4_2_4(self):
@@ -269,13 +282,13 @@ class TestArrows:
         # it the siblings its wheel rule drops, or if the canonicity
         # rejections vouch for other siblings
         calls = []
-        test = ramsey.wheel_through
+        test = ramsey._wheel_through
 
         def counted(*args):
             calls.append(args[1])
             return test(*args)
 
-        monkeypatch.setattr(ramsey, "wheel_through", counted)
+        monkeypatch.setattr(ramsey, "_wheel_through", counted)
         report = arrows(13, 4, 7)
         assert report.survivors[8] == 279
         assert len(calls) == 1690
@@ -345,6 +358,7 @@ class TestArrows:
                     continue
                 v = comp.n - 1
                 mask = found.neighbourhood(v)
+                assert ramsey._new_vertex_wheel(comp.complement().rows, m) == mask
                 wheel = {found.hub, *found.rim}
                 assert mask and mask & comp.rows[v] == mask
                 assert all(u in wheel - {v} for u in range(v) if (mask >> u) & 1)
@@ -422,6 +436,14 @@ class TestArrows:
         proc = subprocess.run([sys.executable, str(script)], capture_output=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == b"exhausted\n"
+
+    @pytest.mark.parametrize("order,n,m,holds", [(11, 4, 6, True), (12, 4, 5, False)])
+    def test_leaves_no_cyclic_garbage(self, no_gc, order, n, m, holds):
+        # the scan's recursive helpers drop their references to themselves
+        # when done, so refcounting frees all the scan makes and the cyclic
+        # collector finds nothing, whether the scan ends or stops early
+        assert arrows(order, n, m).holds == holds
+        assert gc.collect() == 0
 
     def test_import_loads_no_pool_module(self):
         # concurrent.futures pulls in logging and traceback; only a pooled
