@@ -65,7 +65,9 @@ class SearchBudgetExceeded(RuntimeError):
 
 
 class Budget:
-    """Mutable node counter shared by all searches of one logical call."""
+    """Mutable node counter shared by all searches of one logical call:
+    ``DEFAULT_NODE_BUDGET`` nodes, read when built, unless ``nodes`` is given
+    (only ``contains_wheel`` and ``is_good_coloring`` take a ``node_budget``)."""
 
     __slots__ = ("remaining",)
 

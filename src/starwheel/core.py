@@ -271,16 +271,16 @@ def girth(g: Graph):
     return best
 
 
-def circumference(g: Graph, node_budget=None):
+def circumference(g: Graph):
     """Length of a longest cycle, or None for forests.
 
-    Exhaustive search, exact; intended for small orders (<= ~16). The node
-    budget is shared across the whole call and exhaustion raises, never
-    returning a wrong answer.
+    Exhaustive search, exact; intended for small orders (<= ~16). One
+    ``_cycles.DEFAULT_NODE_BUDGET`` is shared across the whole call and
+    exhaustion raises, never returning a wrong answer.
     """
     if girth(g) is None:
         return None
-    budget = _cycles.Budget(node_budget)
+    budget = _cycles.Budget()
     for length in range(g.n, 2, -1):
         if _cycles.find_cycle_of_length(g.rows, g.n, length, budget) is not None:
             return length

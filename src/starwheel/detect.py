@@ -71,16 +71,23 @@ class WheelWitness(Frozen):
         return all(g.has_edge(rim[i], rim[(i + 1) % m]) for i in range(m))
 
     def neighbourhood(self, v: int) -> int:
-        """Bitmask of the vertices this wheel joins to its vertex v: the
-        rim when v is the hub, else the hub and v's two rim neighbours."""
-        rim = self.rim
-        if v == self.hub:
-            return sum(1 << u for u in rim)
-        i = rim.index(v)
-        return 1 << self.hub | 1 << rim[i - 1] | 1 << rim[(i + 1) % len(rim)]
+        """Bitmask of the vertices this wheel joins to its vertex v."""
+        return _neighbourhood(self.hub, self.rim, v)
 
     def __str__(self):
         return f"wheel hub={self.hub} rim={','.join(map(str, self.rim))}"
+
+
+def _neighbourhood(hub: int, rim: tuple, v: int) -> int:
+    """Bitmask of the vertices the wheel (hub, rim) joins to its vertex v:
+    the rim when v is the hub, else the hub and v's two rim neighbours."""
+    if v == hub:
+        mask = 0
+        for u in rim:
+            mask |= 1 << u
+        return mask
+    i = rim.index(v)
+    return 1 << hub | 1 << rim[i - 1] | 1 << rim[(i + 1) % len(rim)]
 
 
 def contains_star(g: Graph, n: int):
@@ -103,13 +110,13 @@ def contains_star(g: Graph, n: int):
     return StarWitness(center, g.neighbors(center)[:n])
 
 
-def has_cycle_of_length(g: Graph, length: int, node_budget=None):
+def has_cycle_of_length(g: Graph, length: int):
     """A cycle on exactly ``length`` distinct vertices, or None.
 
-    Exhaustive backtracking (see _cycles); raises SearchBudgetExceeded
-    rather than ever returning a wrong answer.
+    Exhaustive backtracking (see _cycles) on a default ``Budget()``; raises
+    SearchBudgetExceeded rather than ever returning a wrong answer.
     """
-    return find_cycle_of_length(g.rows, g.n, length, Budget(node_budget))
+    return find_cycle_of_length(g.rows, g.n, length, Budget())
 
 
 def contains_wheel(g: Graph, m: int, node_budget=None):
@@ -182,9 +189,9 @@ def wheel_through(rows, v: int, m: int):
     return None if found is None else WheelWitness(*found)
 
 
-def cycle_spectrum(g: Graph, node_budget=None) -> set:
-    """The set of cycle lengths present in g (empty for forests)."""
-    budget = Budget(node_budget)
+def cycle_spectrum(g: Graph) -> set:
+    """The set of cycle lengths in g (empty for forests), on one ``Budget()``."""
+    budget = Budget()
     return {
         length
         for length in range(3, g.n + 1)
@@ -192,12 +199,12 @@ def cycle_spectrum(g: Graph, node_budget=None) -> set:
     }
 
 
-def is_pancyclic(g: Graph, node_budget=None) -> bool:
+def is_pancyclic(g: Graph) -> bool:
     """Cycles of every length from 3 through the order."""
-    return cycle_spectrum(g, node_budget) == set(range(3, g.n + 1))
+    return cycle_spectrum(g) == set(range(3, g.n + 1))
 
 
-def is_weakly_pancyclic(g: Graph, node_budget=None) -> bool:
+def is_weakly_pancyclic(g: Graph) -> bool:
     """Cycles of every length from girth through circumference; forests vacuously."""
-    spectrum = cycle_spectrum(g, node_budget)
+    spectrum = cycle_spectrum(g)
     return not spectrum or spectrum == set(range(min(spectrum), max(spectrum) + 1))

@@ -24,7 +24,7 @@ import time
 from ._record import Frozen, Record
 from .construct import lower_bound_witness, theta
 from .core import Graph
-from .detect import StarWitness, WheelWitness, _wheel_through, contains_star, contains_wheel
+from .detect import StarWitness, WheelWitness, _neighbourhood, _wheel_through, contains_star, contains_wheel
 from .enumeration import _extensions
 
 __all__ = [
@@ -171,21 +171,11 @@ _wheel_prune = None
 def _new_vertex_wheel(rows, m: int) -> int:
     """The sibling mask of a W_m through the last vertex v of ``rows`` in
     their complement, on raw rows: the wheel's ``neighbourhood(v)``, or 0
-    when there is none. It is read off the raw (hub, rim), with no witness
-    built: the rim when v is the hub, else the hub and the rim's second
-    and last vertices, as a rim through v starts at v."""
+    when there is none, read off the raw (hub, rim) with no witness built."""
     v = len(rows) - 1
     full = (1 << len(rows)) - 1
     found = _wheel_through([full ^ row ^ (1 << u) for u, row in enumerate(rows)], v, m)
-    if found is None:
-        return 0
-    hub, rim = found
-    if hub != v:
-        return 1 << hub | 1 << rim[1] | 1 << rim[-1]
-    mask = 0
-    for u in rim:
-        mask |= 1 << u
-    return mask
+    return 0 if found is None else _neighbourhood(*found, v)
 
 
 def _wheel_reject(order: int, m: int):

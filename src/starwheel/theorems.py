@@ -5,7 +5,8 @@ the lower-bound construction, plus a fuzz harness over graph corpora.
 A Counterexample verdict from a published theorem indicts this package's
 detectors, not the theorem: the fuzz harness treats it as a build-failing
 event and serializes the offending graph. Degree conditions involving
-halves are checked in cleared-denominator integer form.
+halves are checked in cleared-denominator integer form. Each query's cycle
+searches share one ``_cycles.DEFAULT_NODE_BUDGET``; exhaustion raises.
 """
 
 from __future__ import annotations
@@ -55,18 +56,18 @@ class Verdict(Frozen):
         return self.status == CONCLUSION_HOLDS
 
 
-def check_dirac(g: Graph, node_budget=None) -> Verdict:
+def check_dirac(g: Graph) -> Verdict:
     """Dirac: every 2-connected graph has circumference >= min(2*delta, nu)."""
     if not is_two_connected(g):
         return Verdict(HYPOTHESIS_NOT_MET)
-    c = circumference(g, node_budget)
+    c = circumference(g)
     need = min(2 * min_degree(g), g.n)
     if c is not None and c >= need:
         return Verdict(CONCLUSION_HOLDS, witness=c)
     return Verdict(COUNTEREXAMPLE, witness=c, detail=f"circumference {c} < {need}")
 
 
-def check_brandt(g: Graph, node_budget=None) -> Verdict:
+def check_brandt(g: Graph) -> Verdict:
     """Brandt et al.: a non-bipartite graph with 3*delta >= nu + 2 is weakly
     pancyclic with girth 3 or 4."""
     if is_bipartite(g) is not None or 3 * min_degree(g) < g.n + 2:
@@ -74,12 +75,12 @@ def check_brandt(g: Graph, node_budget=None) -> Verdict:
     low = girth(g)
     if low not in (3, 4):
         return Verdict(COUNTEREXAMPLE, detail=f"girth {low} not in {{3, 4}}")
-    if not is_weakly_pancyclic(g, node_budget):
+    if not is_weakly_pancyclic(g):
         return Verdict(COUNTEREXAMPLE, detail="cycle spectrum has a gap")
     return Verdict(CONCLUSION_HOLDS, witness=low)
 
 
-def check_jackson(g: Graph, xs, ys, node_budget=None) -> Verdict:
+def check_jackson(g: Graph, xs, ys) -> Verdict:
     """Jackson: a bipartite graph with sides X, Y, 2 <= |X| <= |Y|, in which
     every x in X has d(x) >= |X| and 2*d(x) >= |Y| + 2, has a cycle through
     all of X (equivalently, of length 2|X|)."""
@@ -96,13 +97,13 @@ def check_jackson(g: Graph, xs, ys, node_budget=None) -> Verdict:
     if any(g.degree(x) < len(xs) or 2 * g.degree(x) < len(ys) + 2 for x in xs):
         return Verdict(HYPOTHESIS_NOT_MET)
     # a cycle of length 2|X| alternates sides, so it covers X exactly
-    found = has_cycle_of_length(g, 2 * len(xs), node_budget)
+    found = has_cycle_of_length(g, 2 * len(xs))
     if found is not None:
         return Verdict(CONCLUSION_HOLDS, witness=found)
     return Verdict(COUNTEREXAMPLE, detail=f"no cycle of length {2 * len(xs)}")
 
 
-def verify_construction(n: int, m: int, node_budget=None) -> Verdict:
+def verify_construction(n: int, m: int) -> Verdict:
     """Mechanize the lower-bound proof on the constructed witness: the order
     claim, star-freeness, complement wheel-freeness, and the component-size
     claim for the regular graph the witness was built from."""
@@ -114,7 +115,7 @@ def verify_construction(n: int, m: int, node_budget=None) -> Verdict:
     star = contains_star(w, n)
     if star is not None:
         return Verdict(COUNTEREXAMPLE, witness=star, detail=f"witness contains K_{{1,{n}}}")
-    wheel = contains_wheel(w.complement(), m, node_budget)
+    wheel = contains_wheel(w.complement(), m)
     if wheel is not None:
         return Verdict(COUNTEREXAMPLE, witness=wheel, detail=f"complement contains W_{m}")
     h_order = n + m // 2 - t - 1
@@ -149,17 +150,17 @@ def _bipartitions(g: Graph):
         yield tuple(sorted(xs)), tuple(sorted(ys))
 
 
-def _fuzz_dirac(g, node_budget):
-    yield check_dirac(g, node_budget)
+def _fuzz_dirac(g):
+    yield check_dirac(g)
 
 
-def _fuzz_brandt(g, node_budget):
-    yield check_brandt(g, node_budget)
+def _fuzz_brandt(g):
+    yield check_brandt(g)
 
 
-def _fuzz_jackson(g, node_budget):
+def _fuzz_jackson(g):
     for xs, ys in _bipartitions(g):
-        yield check_jackson(g, xs, ys, node_budget)
+        yield check_jackson(g, xs, ys)
 
 
 DEFAULT_CHECKS = {
@@ -203,7 +204,7 @@ class FuzzSummary(Record):
         return out
 
 
-def fuzz(graphs, checks=None, node_budget=None) -> FuzzSummary:
+def fuzz(graphs, checks=None) -> FuzzSummary:
     """Run every oracle over a corpus of graphs.
 
     Aborts at the first Counterexample (recording it); any such verdict is
@@ -215,7 +216,7 @@ def fuzz(graphs, checks=None, node_budget=None) -> FuzzSummary:
         summary.graphs += 1
         for name, runner in checks.items():
             tally = summary.tallies[name]
-            for verdict in runner(g, node_budget):
+            for verdict in runner(g):
                 tally[verdict.status] = tally.get(verdict.status, 0) + 1
                 if verdict.status == COUNTEREXAMPLE:
                     summary.counterexample = (name, g, verdict)
@@ -223,11 +224,13 @@ def fuzz(graphs, checks=None, node_budget=None) -> FuzzSummary:
     return summary
 
 
-def fuzz_all_graphs(max_order: int, checks=None, node_budget=None) -> FuzzSummary:
+def fuzz_all_graphs(max_order: int, checks=None) -> FuzzSummary:
     """Fuzz over every isomorphism class with 1 <= nu <= max_order."""
+    if max_order < 0:
+        raise ValueError(f"max_order must be >= 0, got {max_order}")
 
     def corpus():
         for order in range(1, max_order + 1):
             yield from enumerate_degree_bounded(order, order - 1)
 
-    return fuzz(corpus(), checks, node_budget)
+    return fuzz(corpus(), checks)

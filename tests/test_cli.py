@@ -174,6 +174,12 @@ class TestAnalyze:
         code, _, err = run_cli(["analyze"], "!!!\n", monkeypatch, capsys)
         assert code == 2 and "error:" in err
 
+    def test_exhausted_budget_is_undecided(self, monkeypatch, capsys):
+        monkeypatch.setattr(_cycles, "DEFAULT_NODE_BUDGET", 1)
+        code, out, err = run_cli(["analyze"], sw.to_graph6_str(sw.wheel(6)) + "\n", monkeypatch, capsys)
+        assert code == 1 and out == ""
+        assert err == "undecided: cycle search exceeded its node budget (length 3)\n"
+
 
 class TestFuzz:
     def test_clean(self, capsys):
@@ -207,9 +213,9 @@ class TestFuzz:
         assert code == 0 and out.splitlines()[0] == "graphs=3"
 
     def test_sabotaged_check_fails_the_run(self, monkeypatch, capsys):
-        def overclaiming_dirac(g, node_budget):
+        def overclaiming_dirac(g):
             # claims one more than Dirac's bound min(2*delta, nu) on the longest cycle
-            verdict = check_dirac(g, node_budget)
+            verdict = check_dirac(g)
             if verdict.status == CONCLUSION_HOLDS and verdict.witness <= min(2 * sw.min_degree(g), g.n):
                 verdict = Verdict(COUNTEREXAMPLE, witness=verdict.witness, detail="overclaimed bound")
             yield verdict
@@ -218,6 +224,15 @@ class TestFuzz:
         code, out, _ = run_cli(["fuzz", "--max-order", "4"], capsys=capsys)
         assert code == 1
         assert any(line.startswith("counterexample check=dirac") for line in out.splitlines())
+
+    def test_exhausted_budget_is_undecided(self, tmp_path, monkeypatch, capsys):
+        # Dirac's check on the 2-connected wheel searches for its longest cycle
+        corpus = tmp_path / "corpus.g6"
+        corpus.write_text(sw.to_graph6_str(sw.wheel(6)) + "\n")
+        monkeypatch.setattr(_cycles, "DEFAULT_NODE_BUDGET", 1)
+        code, out, err = run_cli(["fuzz", "--corpus", str(corpus)], capsys=capsys)
+        assert code == 1 and out == ""
+        assert err == "undecided: cycle search exceeded its node budget (length 7)\n"
 
     def test_missing_corpus_file(self, capsys):
         code, _, err = run_cli(["fuzz", "--corpus", "/nonexistent/corpus.g6"], capsys=capsys)
@@ -350,6 +365,10 @@ class TestParameterValidation:
     def test_search_rejects_negative_max_order(self, capsys):
         code, out, err = run_cli(["search", "4", "4", "--max-order", "-1"], capsys=capsys)
         assert code == 2 and out == "" and "error: max_order must be >= 0, got -1" in err
+
+    def test_fuzz_rejects_negative_max_order(self, capsys):
+        code, out, err = run_cli(["fuzz", "--max-order", "-2"], capsys=capsys)
+        assert code == 2 and out == "" and "error: max_order must be >= 0, got -2" in err
 
     @pytest.mark.parametrize("threads", ["0", "-4"])
     def test_search_rejects_thread_counts_below_1(self, threads, capsys):

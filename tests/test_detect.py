@@ -30,10 +30,11 @@ from starwheel._cycles import (
     twin_reps,
 )
 from starwheel.construct import lower_bound_witness
-from starwheel.core import Graph, complete, cycle, empty_graph, max_degree, path, star, wheel
+from starwheel.core import Graph, circumference, complete, cycle, empty_graph, max_degree, path, star, wheel
 from starwheel.detect import (
     SearchBudgetExceeded,
     WheelWitness,
+    _neighbourhood,
     _wheel_through,
     contains_star,
     contains_wheel,
@@ -43,8 +44,16 @@ from starwheel.detect import (
     is_weakly_pancyclic,
     wheel_through,
 )
+from starwheel.theorems import fuzz
 
 K33 = Graph.from_edges(6, [(i, 3 + j) for i in range(3) for j in range(3)])
+# 4x4 grid: bipartite and twin-free, so proving an odd length absent takes
+# real backtracking
+GRID = Graph.from_edges(
+    16,
+    [(4 * r + c, 4 * r + c + 1) for r in range(4) for c in range(3)]
+    + [(4 * r + c, 4 * r + c + 4) for r in range(3) for c in range(4)],
+)
 
 
 class TestStar:
@@ -120,20 +129,25 @@ class TestCycleSearch:
             assert moved == (None if found is None else tuple(x + 3 for x in found))
             assert extra.remaining == base.remaining
 
-    def test_budget_exhaustion_is_an_error(self):
-        # 4x4 grid: bipartite and twin-free, so proving an odd length absent
-        # takes real backtracking
-        edges = []
-        for r in range(4):
-            for c in range(4):
-                if c < 3:
-                    edges.append((4 * r + c, 4 * r + c + 1))
-                if r < 3:
-                    edges.append((4 * r + c, 4 * r + c + 4))
-        grid = Graph.from_edges(16, edges)
+    def test_budget_exhaustion_is_an_error(self, monkeypatch):
+        with monkeypatch.context() as patch:
+            patch.setattr(_cycles, "DEFAULT_NODE_BUDGET", 50)
+            with pytest.raises(SearchBudgetExceeded):
+                has_cycle_of_length(GRID, 15)
+        assert has_cycle_of_length(GRID, 15) is None  # default budget suffices
+
+    @pytest.mark.parametrize(
+        "query",
+        [lambda g: has_cycle_of_length(g, 15), cycle_spectrum, circumference, lambda g: fuzz([g])],
+        ids=["has_cycle_of_length", "cycle_spectrum", "circumference", "fuzz"],
+    )
+    def test_default_budget_bounds_queries_without_a_knob(self, query, monkeypatch):
+        # these queries take no node_budget: _cycles.DEFAULT_NODE_BUDGET,
+        # read by every Budget(), is the one name that bounds them
+        query(GRID)
+        monkeypatch.setattr(_cycles, "DEFAULT_NODE_BUDGET", 1)
         with pytest.raises(SearchBudgetExceeded):
-            has_cycle_of_length(grid, 15, node_budget=50)
-        assert has_cycle_of_length(grid, 15) is None  # default budget suffices
+            query(GRID)
 
 
 class TestReferenceCycleSearch:
@@ -448,6 +462,14 @@ class TestWheel:
 
     def test_no_w5_in_w6(self):
         assert contains_wheel(wheel(6), 5) is None
+
+    def test_neighbourhood_is_the_row_in_the_wheel(self):
+        # W_6 is exactly its own wheel, so what it joins to each vertex is
+        # that vertex's row, wherever the rim starts and whichever way it runs
+        g = wheel(6)
+        for rim in [(0, 1, 2, 3, 4, 5), (3, 2, 1, 0, 5, 4)]:
+            for v in range(7):
+                assert _neighbourhood(6, rim, v) == WheelWitness(6, rim).neighbourhood(v) == g.rows[v]
 
     def test_precondition(self):
         with pytest.raises(ValueError):
@@ -832,13 +854,14 @@ class TestDeterministicWitnesses:
             with pytest.raises(SearchBudgetExceeded):
                 contains_wheel(h, m, node_budget=nodes - 1)
 
-    def test_budgeted_runs_agree_with_oracle_when_they_finish(self):
+    def test_budgeted_runs_agree_with_oracle_when_they_finish(self, monkeypatch):
         rng = random.Random(79)
         for _ in range(40):
             g = random_graph(rng, rng.randrange(4, 9))
             for length in (4, 5, 6):
+                monkeypatch.setattr(_cycles, "DEFAULT_NODE_BUDGET", rng.choice([3, 10, 100]))
                 try:
-                    found = has_cycle_of_length(g, length, node_budget=rng.choice([3, 10, 100]))
+                    found = has_cycle_of_length(g, length)
                 except SearchBudgetExceeded:
                     continue
                 oracle = None

@@ -116,20 +116,20 @@ class TestFuzz:
         assert summary.lines()[-1] == "no counterexamples"
 
     def test_corrupted_check_aborts_and_revalidates(self):
-        def broken(g, node_budget):
+        def broken(g):
             if g.n == 3 and g.edge_count() == 3:
                 yield Verdict(COUNTEREXAMPLE, detail="deliberately broken")
             else:
                 yield Verdict(HYPOTHESIS_NOT_MET)
 
         corpus = [path(3), cycle(3), complete(4)]
-        summary = fuzz(corpus, checks={"broken": broken, "dirac": lambda g, b: [check_dirac(g, b)]})
+        summary = fuzz(corpus, checks={"broken": broken, "dirac": lambda g: [check_dirac(g)]})
         assert not summary.clean
         name, graph, verdict = summary.counterexample
         assert name == "broken" and graph == cycle(3)
         # aborted immediately: K_4 was never reached
         assert summary.graphs == 2
         # the counterexample re-validates: rerunning reproduces the violation
-        rerun = list(broken(graph, None))[0]
+        rerun = list(broken(graph))[0]
         assert rerun.status == COUNTEREXAMPLE and rerun.detail == verdict.detail
         assert any(line.startswith("counterexample check=broken") for line in summary.lines())

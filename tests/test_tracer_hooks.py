@@ -6,7 +6,9 @@ import importlib.util
 from pathlib import Path
 
 from starwheel import enumeration, ramsey
-from starwheel.ramsey import compute_ramsey
+from starwheel.construct import lower_bound_witness
+from starwheel.core import Graph
+from starwheel.ramsey import compute_ramsey, is_good_coloring
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -33,3 +35,22 @@ def test_tracer_survivors_match_reports_and_uninstall_restores():
     }
     assert expected and tracer.survivors() == expected
     assert (ramsey._wheel_prune, ramsey.arrows, enumeration.is_canonical) == originals
+
+
+def test_tracer_counts_the_certify_paths_cycle_nodes():
+    # the (6, 8) witness with the pair (2, 6) toggled, as pinned in
+    # test_detect's test_flipped_witness_wheels_and_their_work: its
+    # complement's wheel search draws exactly 10 nodes. The tracer reads a
+    # search's Budget as its fourth positional argument, so a detect call
+    # that passed it by keyword would count 0.
+    rows = list(lower_bound_witness(6, 8).rows)
+    rows[2] ^= 1 << 6
+    rows[6] ^= 1 << 2
+    tracer = _load_tracer().Tracer()
+    tracer.install()
+    try:
+        verdict = is_good_coloring(Graph(len(rows), rows), 6, 8, node_budget=10**5)
+    finally:
+        tracer.uninstall()
+    assert not verdict and str(verdict.violation) == "wheel hub=2 rim=0,8,1,9,3,10,6,11"
+    assert tracer.counts["cycles.nodes"] == 10
