@@ -37,10 +37,12 @@ when the first anchor passes the capacity bound:
   outnumber the T and other vertices still free plus as many U0 vertices
   as those T vertices can separate.
 
-``find_cycle_through`` answers the narrower question the arrows scan asks
-of each new vertex, a cycle through one given vertex inside a vertex
-mask, by a plain DFS on bitmasks of the host rows: no quotient, no
-relabelling, no core peel and no distance layers: on the scan's small
+``complement_cycle_through`` answers the narrower question the arrows
+scan asks of each new vertex, a cycle through one given vertex inside a
+vertex mask, in the complement of the rows it is given, by a plain DFS on
+bitmasks: the free complement neighbours of c inside ``allowed`` are
+``allowed & ~(rows[c] | used)``, so no complement is built. No quotient,
+no relabelling, no core peel and no distance layers: on the scan's small
 masks, pruning that cuts only dead branches costs more than it saves.
 One check does pay: when the mask holds exactly as many vertices as the
 cycle, the cycle uses them all, and a vertex with fewer than two
@@ -49,10 +51,13 @@ The scan's rim tests often have such masks (a hub of degree exactly m),
 and the peel's repeated passes would only matter on larger masks. The
 walk's last two steps are one loop, not two levels of calls: most nodes
 that deep are dead ends, and a call per candidate was most of their cost.
-The walk is a closure that refers to itself; it drops its own name once
-done, so refcounting frees it and the scan leaves the cyclic collector
-nothing (``find_cycle_of_length``'s walk still does).
-``find_cycle_within`` anchors it at each vertex in turn.
+The first cycle met closes at a neighbour of v above the path's second
+vertex (its reverse would have been met first otherwise), so the walk
+needs no test of direction. It recurses through the module-level
+``_complement_walk``, so a call builds no closure and leaves the cyclic
+collector nothing, and it counts its nodes down in a plain int that the
+caller hands in and gets back (``find_cycle_of_length``'s walk is still
+a closure on a ``Budget``).
 """
 
 from __future__ import annotations
@@ -352,76 +357,68 @@ def find_cycle_of_length(rows, n: int, length: int, budget: Budget | None = None
     return None
 
 
-def find_cycle_through(rows, v: int, allowed: int, length: int, budget: Budget):
-    """First cycle on exactly ``length`` vertices through v inside the
-    vertex mask ``allowed``, or None.
+def complement_cycle_through(rows, v: int, allowed: int, length: int, left: int, path: list) -> int:
+    """Look for the first cycle on exactly ``length`` vertices through v
+    inside the vertex mask ``allowed`` of the complement of ``rows``, and
+    append it, from v, to the empty list ``path``; ``path`` stays empty
+    when there is none. Returns the nodes left of ``left``.
 
-    A plain DFS from v: it extends by ascending vertex inside ``allowed``
-    and closes each cycle in one direction only, at a neighbour of v above
-    the path's second vertex. Each call of the walk draws one node from
-    ``budget``, and a node two vertices short of the cycle closes it in
-    place, so the two closing steps draw none. The answer is None and no
-    node is drawn when v is not in ``allowed``, when ``allowed`` holds
-    fewer than ``length`` vertices, or when it holds exactly ``length``
-    and one of them has fewer than two neighbours inside it.
+    A plain DFS from v (see the module notes) that extends by ascending
+    vertex. It draws a node at v and one at each vertex it extends to until
+    two vertices short of the cycle, and raises SearchBudgetExceeded when
+    that would take more than ``left``. It draws none when v is not in
+    ``allowed``, when ``allowed`` holds fewer than ``length`` vertices, or
+    when it holds exactly ``length`` and one of them has fewer than two
+    neighbours inside it.
     """
     size = allowed.bit_count()
     if not (allowed >> v) & 1 or size < length:
-        return None
+        return left
     if size == length:
         # the cycle must use every vertex of ``allowed``
         m = allowed
         while m:
             low = m & -m
             m ^= low
-            if (rows[low.bit_length() - 1] & allowed).bit_count() < 2:
-                return None
-    ends = rows[v] & allowed
-    path = [v]
+            if (allowed & ~(rows[low.bit_length() - 1] | low)).bit_count() < 2:
+                return left
+    used = 1 << v
+    left = _complement_walk(rows, allowed, allowed & ~(rows[v] | used), v, used, length - 1, left, path)
+    if path:
+        path.append(v)
+        path.reverse()
+    return left
 
-    def dfs(c, used, t):
-        # t vertices on the path, c the last
-        budget.remaining -= 1
-        if budget.remaining < 0:
-            raise SearchBudgetExceeded(f"cycle search exceeded its node budget (length {length})")
-        cand = rows[c] & allowed & ~used
-        if t == length - 2:
-            # the last two steps: the least u that has a closer, then its
-            # least closer, a free neighbour of v above path[1] (which is u
-            # itself when the cycle is a triangle)
-            closers = ends & ~used
-            while cand:
-                low = cand & -cand
-                cand ^= low
-                u = low.bit_length() - 1
-                shut = rows[u] & closers & -(2 << (path[1] if t > 1 else u))
-                if shut:
-                    path.extend((u, (shut & -shut).bit_length() - 1))
-                    return True
-            return False
+
+def _complement_walk(rows, allowed, ends, c, used, steps, left, path):
+    """The walk's node at c, the last vertex placed, with ``used`` the
+    path's vertices and ``steps`` vertices still to place, the last one of
+    v's free ``ends``. Appends the rest of the cycle found, if any, to
+    ``path`` in reverse; returns the nodes left."""
+    left -= 1
+    if left < 0:
+        length = used.bit_count() + steps
+        raise SearchBudgetExceeded(f"cycle search exceeded its node budget (length {length})")
+    cand = allowed & ~(rows[c] | used)
+    if steps == 2:
+        # the last two steps: the least u that has a closer, then its least closer
+        closers = ends & ~used
         while cand:
             low = cand & -cand
             cand ^= low
             u = low.bit_length() - 1
+            shut = closers & ~(rows[u] | low)
+            if shut:
+                path += ((shut & -shut).bit_length() - 1, u)
+                break
+        return left
+    steps -= 1
+    while cand:
+        low = cand & -cand
+        cand ^= low
+        u = low.bit_length() - 1
+        left = _complement_walk(rows, allowed, ends, u, used | low, steps, left, path)
+        if path:
             path.append(u)
-            if dfs(u, used | low, t + 1):
-                return True
-            path.pop()
-        return False
-
-    found = dfs(v, 1 << v, 1)
-    del dfs  # dfs holds a reference to itself: drop it so refcounting frees it
-    return tuple(path) if found else None
-
-
-def find_cycle_within(rows, allowed: int, length: int, budget: Budget):
-    """First cycle on exactly ``length`` vertices inside the vertex mask
-    ``allowed``, or None: anchored at each vertex in turn, ascending, among
-    the vertices not below it."""
-    while allowed.bit_count() >= length:
-        low = allowed & -allowed
-        found = find_cycle_through(rows, low.bit_length() - 1, allowed, length, budget)
-        if found is not None:
-            return found
-        allowed ^= low
-    return None
+            return left
+    return left

@@ -165,8 +165,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("fuzz", help="run the theorem oracles over a corpus")
-    p.add_argument("--max-order", type=int, default=0)
-    p.add_argument("--corpus", default=None, help="file of graph6 lines")
+    group = p.add_mutually_exclusive_group(required=True)
+    group.add_argument("--max-order", type=int, metavar="ORDER", help="every graph on at most ORDER vertices")
+    group.add_argument("--corpus", metavar="FILE", help="file of graph6 lines")
     p.set_defaults(func=_cmd_fuzz)
 
     return parser

@@ -9,13 +9,8 @@ so fixtures are stable.
 
 from __future__ import annotations
 
-from ._cycles import (
-    Budget,
-    SearchBudgetExceeded,
-    find_cycle_of_length,
-    find_cycle_through,
-    find_cycle_within,
-)
+from . import _cycles
+from ._cycles import Budget, SearchBudgetExceeded, complement_cycle_through, find_cycle_of_length
 from ._record import Frozen
 from .core import Graph
 
@@ -78,7 +73,7 @@ class WheelWitness(Frozen):
         return f"wheel hub={self.hub} rim={','.join(map(str, self.rim))}"
 
 
-def _neighbourhood(hub: int, rim: tuple, v: int) -> int:
+def _neighbourhood(hub: int, rim, v: int) -> int:
     """Bitmask of the vertices the wheel (hub, rim) joins to its vertex v:
     the rim when v is the hub, else the hub and v's two rim neighbours."""
     if v == hub:
@@ -147,46 +142,57 @@ def contains_wheel(g: Graph, m: int, node_budget=None):
     return None
 
 
-def _wheel_through(rows, v: int, m: int):
-    """``wheel_through``'s search, raw: (hub, rim) or None, with no
-    witness built. The arrows scan calls it once per child and reads only
-    the sibling mask, so it takes the tuple.
+def _complement_wheel_through(rows, v: int, m: int, rim: list) -> int:
+    """The hub of the first W_m through v in the complement of ``rows``,
+    with its rim appended to the empty list ``rim``, or -1 when there is
+    none: ``wheel_through``'s search, with no complement built and no
+    witness. The arrows scan calls it once per child, on the child's rows.
+    Neighbourhoods and degrees below are the complement's.
 
-    v is either the hub, tried first (a C_m inside N(v)), or on the rim of
-    a hub h in N(v), tried ascending: h needs degree >= m and v two rim
-    neighbours in N(v) & N(h), and the rim is a C_m through v inside N(h),
-    starting at v. All searches draw on one fresh default budget.
+    v is either the hub, tried first (a C_m inside v's neighbourhood,
+    anchored at each of its vertices in turn, ascending, among those not
+    below it), or on the rim of a hub h in that neighbourhood, tried
+    ascending: h needs degree >= m and v two rim neighbours in both
+    neighbourhoods, and the rim is a C_m through v inside h's
+    neighbourhood, starting at v. All walks draw on one
+    ``_cycles.DEFAULT_NODE_BUDGET``, read afresh for each call.
     """
-    if m < 3:
-        raise ValueError(f"wheel rim length must be >= 3, got {m}")
-    budget = Budget()
-    nbrs = rows[v]
-    if nbrs.bit_count() >= m:
-        found = find_cycle_within(rows, nbrs, m, budget)
-        if found is not None:
-            return v, found
+    left = _cycles.DEFAULT_NODE_BUDGET
+    full = (1 << len(rows)) - 1
+    nbrs = full & ~(rows[v] | 1 << v)
+    allowed = nbrs
+    while allowed.bit_count() >= m:
+        low = allowed & -allowed
+        left = complement_cycle_through(rows, low.bit_length() - 1, allowed, m, left, rim)
+        if rim:
+            return v
+        allowed ^= low
     hubs = nbrs
     while hubs:
         low = hubs & -hubs
         hubs ^= low
         hub = low.bit_length() - 1
-        around = rows[hub]
+        around = full & ~(rows[hub] | low)
         if around.bit_count() < m or (around & nbrs).bit_count() < 2:
             continue
-        found = find_cycle_through(rows, v, around, m, budget)
-        if found is not None:
-            return hub, found
-    return None
+        left = complement_cycle_through(rows, v, around, m, left, rim)
+        if rim:
+            return hub
+    return -1
 
 
 def wheel_through(rows, v: int, m: int):
     """A WheelWitness for a W_m that uses vertex v, or None, on raw rows:
-    ``_wheel_through``'s (hub, rim) as a witness. Every W_m of g either
-    uses v or lies in g - v, so when g - v has none this decides whether g
-    has one.
+    ``_complement_wheel_through`` on the complement of ``rows``. Every W_m
+    of g either uses v or lies in g - v, so when g - v has none this
+    decides whether g has one.
     """
-    found = _wheel_through(rows, v, m)
-    return None if found is None else WheelWitness(*found)
+    if m < 3:
+        raise ValueError(f"wheel rim length must be >= 3, got {m}")
+    full = (1 << len(rows)) - 1
+    rim = []
+    hub = _complement_wheel_through([full ^ row ^ 1 << u for u, row in enumerate(rows)], v, m, rim)
+    return None if hub < 0 else WheelWitness(hub, tuple(rim))
 
 
 def cycle_spectrum(g: Graph) -> set:

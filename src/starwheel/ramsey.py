@@ -24,7 +24,7 @@ import time
 from ._record import Frozen, Record
 from .construct import lower_bound_witness, theta
 from .core import Graph
-from .detect import StarWitness, WheelWitness, _neighbourhood, _wheel_through, contains_star, contains_wheel
+from .detect import StarWitness, WheelWitness, _complement_wheel_through, _neighbourhood, contains_star, contains_wheel
 from .enumeration import _extensions
 
 __all__ = [
@@ -170,12 +170,13 @@ _wheel_prune = None
 
 def _new_vertex_wheel(rows, m: int) -> int:
     """The sibling mask of a W_m through the last vertex v of ``rows`` in
-    their complement, on raw rows: the wheel's ``neighbourhood(v)``, or 0
-    when there is none, read off the raw (hub, rim) with no witness built."""
+    their complement: the wheel's ``neighbourhood(v)``, or 0 when there is
+    none, read off the hub and rim ``_complement_wheel_through`` finds on
+    the rows themselves, with no complement and no witness built."""
     v = len(rows) - 1
-    full = (1 << len(rows)) - 1
-    found = _wheel_through([full ^ row ^ (1 << u) for u, row in enumerate(rows)], v, m)
-    return 0 if found is None else _neighbourhood(*found, v)
+    rim = []
+    hub = _complement_wheel_through(rows, v, m, rim)
+    return 0 if hub < 0 else _neighbourhood(hub, rim, v)
 
 
 def _wheel_reject(order: int, m: int):
@@ -184,11 +185,12 @@ def _wheel_reject(order: int, m: int):
 
     Every parent has a W_m-free complement (the root trivially, each deeper
     parent by this test), so a child's complement has a W_m iff it has one
-    through the new vertex v. ``reject`` tests that on the child's raw rows,
-    each child's search on a fresh default budget. The wheel found joins v
-    in the complement only to the parent vertices of its
-    ``neighbourhood(v)``, so ``_extensions`` filters every later sibling
-    adjacent to none of them out of its list, untested (its wheel rule).
+    through the new vertex v. ``reject`` tests that with one
+    ``_new_vertex_wheel`` call on the child's raw rows, each on a default
+    budget of its own. The wheel found joins v in the complement only to
+    the parent vertices of its ``neighbourhood(v)``, so ``_extensions``
+    filters every later sibling adjacent to none of them out of its list,
+    untested (its wheel rule).
     """
     return lambda rows: _new_vertex_wheel(rows, m) if m < len(rows) < order else 0
 

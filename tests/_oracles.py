@@ -408,10 +408,12 @@ def reference_indexed_find_cycle_of_length(rows, n: int, length: int, budget: Bu
 
 
 def reference_find_cycle_through(rows, v: int, allowed: int, length: int, budget):
-    """What ``_cycles.find_cycle_through`` answers: the same walk from v,
-    but on the 2-core of ``allowed`` and only to vertices whose BFS distance
-    back to v fits the steps left. Both prunings cut only branches that
-    cannot close a cycle, so the first cycle found is the same. Its nodes
+    """What ``_cycles.complement_cycle_through`` answers when handed the
+    complement of ``rows``: the same walk from v, though it closes each
+    cycle in one direction only, on the 2-core of ``allowed`` and only to
+    vertices whose BFS distance back to v fits the steps left. Both
+    prunings cut only branches that cannot close a cycle, and the first
+    cycle met closes in that direction anyway, so it is the same. Its nodes
     are not comparable with the walk's: it may answer None before drawing
     from ``budget`` where the walk does not, but each of its calls draws a
     node, the last two steps' included, where the walk closes them in one.

@@ -234,6 +234,14 @@ class TestFuzz:
         assert code == 1 and out == ""
         assert err == "undecided: cycle search exceeded its node budget (length 7)\n"
 
+    @pytest.mark.parametrize("flags", [[], ["--corpus", "corpus.g6", "--max-order", "5"]], ids=["neither", "both"])
+    def test_corpus_or_max_order_exactly_one(self, flags, capsys):
+        # with neither it would check no graph, and with both ignore one
+        with pytest.raises(SystemExit) as exc:
+            main(["fuzz", *flags])
+        assert exc.value.code == 2
+        assert "--max-order" in capsys.readouterr().err
+
     def test_missing_corpus_file(self, capsys):
         code, _, err = run_cli(["fuzz", "--corpus", "/nonexistent/corpus.g6"], capsys=capsys)
         assert code == 2 and "error:" in err

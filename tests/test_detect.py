@@ -23,9 +23,8 @@ from starwheel._cycles import (
     Budget,
     blocks,
     components,
+    complement_cycle_through,
     find_cycle_of_length,
-    find_cycle_through,
-    find_cycle_within,
     twin_classes,
     twin_reps,
 )
@@ -34,8 +33,8 @@ from starwheel.core import Graph, circumference, complete, cycle, empty_graph, m
 from starwheel.detect import (
     SearchBudgetExceeded,
     WheelWitness,
+    _complement_wheel_through,
     _neighbourhood,
-    _wheel_through,
     contains_star,
     contains_wheel,
     cycle_spectrum,
@@ -357,11 +356,49 @@ def scan_queries(rng, graphs):
                     yield rows, v, sum(1 << u for u in others) | 1 << v, length
 
 
+def complemented(rows):
+    full = (1 << len(rows)) - 1
+    return [full ^ row ^ 1 << u for u, row in enumerate(rows)]
+
+
+def walk(rows, v, allowed, length, nodes=DEFAULT_NODE_BUDGET):
+    """complement_cycle_through on the complement of ``rows``, so a cycle
+    of ``rows`` itself: the cycle found or None, and the nodes drawn."""
+    path = []
+    left = complement_cycle_through(complemented(rows), v, allowed, length, nodes, path)
+    return (tuple(path) if path else None), nodes - left
+
+
+def preorder_nodes(rows, v, allowed, length, found):
+    """The nodes the walk must draw, counted by brute force: none when it
+    settles the query by size or degree, else one per simple path from v
+    inside ``allowed`` on at most length - 2 vertices that comes no later
+    in the walk's preorder (ascending tuples) than the found cycle's first
+    length - 2 vertices, every such path when there is no cycle."""
+    size = allowed.bit_count()
+    if not (allowed >> v) & 1 or size < length:
+        return 0
+    inside = [u for u in range(len(rows)) if (allowed >> u) & 1]
+    if size == length and any((rows[u] & allowed).bit_count() < 2 for u in inside):
+        return 0
+    stop = None if found is None else found[: length - 2]
+    count = 0
+    stack = [(v,)]
+    while stack:
+        p = stack.pop()
+        if stop is not None and p > stop:
+            continue
+        count += 1
+        if len(p) < length - 2:
+            stack += [p + (u,) for u in reversed(inside) if (rows[p[-1]] >> u) & 1 and u not in p]
+    return count
+
+
 class TestCycleThroughPin:
-    """The answer and the nodes drawn of every find_cycle_through call on a
-    fixed seeded corpus, hashed. Recorded when the walk began to settle
-    exact-size masks by degree and to close its last two steps in place;
-    a change to the walk's order or to its node count moves it."""
+    """The answer and the nodes drawn of every walk on a fixed seeded
+    corpus, hashed; the walk is handed the complement of each query's rows,
+    so it looks for cycles of the rows themselves. A change to the walk's
+    order or to its node count moves it."""
 
     DIGEST = "0d3d5c38ed12ea5153347b18da9f3fb21eea61f8fdf367d66deaa6fd01c30259"
     CALLS = 5004
@@ -371,9 +408,7 @@ class TestCycleThroughPin:
         calls = 0
         queries = chain(scan_queries(random.Random(2121), 40), random_queries(random.Random(2122), 40))
         for rows, v, allowed, length in queries:
-            budget = Budget()
-            found = find_cycle_through(rows, v, allowed, length, budget)
-            digest.update(repr((found, DEFAULT_NODE_BUDGET - budget.remaining)).encode())
+            digest.update(repr(walk(rows, v, allowed, length)).encode())
             calls += 1
         assert (digest.hexdigest(), calls) == (self.DIGEST, self.CALLS)
 
@@ -504,18 +539,20 @@ class TestWheelThrough:
                         assert found.validate(g, m) and v in (found.hub, *found.rim)
 
     def test_witness_wraps_the_raw_search(self):
-        # the scan reads the raw (hub, rim); the public witness is built from it
+        # the scan reads the raw hub and rim off the complement of its rows;
+        # the public witness is built from the same search
         rng = random.Random(59)
         hits = 0
         for _ in range(80):
             g = random_graph(rng, rng.randrange(4, 10), rng.choice([0.5, 0.7, 0.85]))
             for m in (3, 4, 5, 6):
                 for v in range(g.n):
-                    found = _wheel_through(g.rows, v, m)
-                    if found is None:
-                        assert wheel_through(g.rows, v, m) is None
+                    rim = []
+                    hub = _complement_wheel_through(complemented(g.rows), v, m, rim)
+                    if hub < 0:
+                        assert rim == [] and wheel_through(g.rows, v, m) is None
                     else:
-                        assert wheel_through(g.rows, v, m) == WheelWitness(*found)
+                        assert wheel_through(g.rows, v, m) == WheelWitness(hub, tuple(rim))
                         hits += 1
         assert hits > 100
 
@@ -544,10 +581,11 @@ class TestCycleThrough:
             g = random_graph(rng, rng.randrange(3, 9))
             full = (1 << g.n) - 1
             for length in range(3, g.n + 1):
-                found = find_cycle_within(g.rows, full, length, Budget())
-                assert (found is not None) == (length in naive_cycle_spectrum(g))
+                # anchored at each vertex in turn, among those not below it
+                anchored = any(walk(g.rows, v, full & -(1 << v), length)[0] for v in range(g.n))
+                assert anchored == (length in naive_cycle_spectrum(g))
                 for v in range(g.n):
-                    through = find_cycle_through(g.rows, v, full, length, Budget())
+                    through, _ = walk(g.rows, v, full, length)
                     expected = any(
                         naive_has_cycle(g.induced_subgraph(vs), length)
                         for vs in combinations(range(g.n), length)
@@ -566,80 +604,87 @@ class TestCycleThrough:
         queries = chain(random_queries(random.Random(71), 60), scan_queries(random.Random(2111), 300))
         for rows, v, allowed, length in queries:
             expected = reference_find_cycle_through(rows, v, allowed, length, Budget())
-            assert find_cycle_through(rows, v, allowed, length, Budget()) == expected, (rows, v, allowed, length)
+            assert walk(rows, v, allowed, length)[0] == expected, (rows, v, allowed, length)
+
+    def test_same_cycle_and_nodes_on_the_complement(self):
+        # the walk on rows finds the reference's cycle on their complement,
+        # and draws one node per path of its preorder, counted by brute force
+        queries = chain(random_queries(random.Random(2131), 25), scan_queries(random.Random(2132), 80))
+        for rows, v, allowed, length in queries:
+            comp = complemented(rows)
+            path = []
+            nodes = DEFAULT_NODE_BUDGET - complement_cycle_through(rows, v, allowed, length, DEFAULT_NODE_BUDGET, path)
+            found = tuple(path) or None
+            assert found == reference_find_cycle_through(comp, v, allowed, length, Budget()), (rows, v, allowed, length)
+            assert nodes == preorder_nodes(comp, v, allowed, length, found), (rows, v, allowed, length)
 
     def test_same_cycles_as_the_pruned_walk_in_a_scan(self, monkeypatch):
         # every walk of the order-13 scan of R(K_{1,4}, W_7) = 13, and every
-        # wheel test's raw (hub, rim) once the reference walk stands in for it
+        # wheel test's raw hub and rim once the reference walk stands in for it
         walks, tests = [], []
-        walk, test = find_cycle_through, ramsey._wheel_through
+        step, test = complement_cycle_through, ramsey._complement_wheel_through
 
-        def recorded_walk(*args):
-            found = walk(*args)
-            walks.append((args[:4], found))
-            return found
+        def recorded_walk(rows, v, allowed, length, left, path):
+            left = step(rows, v, allowed, length, left, path)
+            walks.append(((complemented(rows), v, allowed, length), tuple(path) or None))
+            return left
 
-        def recorded_test(*args):
-            found = test(*args)
-            tests.append((args, found))
-            return found
+        def recorded_test(rows, v, m, rim):
+            hub = test(rows, v, m, rim)
+            tests.append(((rows, v, m), hub, tuple(rim)))
+            return hub
 
-        monkeypatch.setattr(_cycles, "find_cycle_through", recorded_walk)
-        monkeypatch.setattr(detect, "find_cycle_through", recorded_walk)
-        monkeypatch.setattr(ramsey, "_wheel_through", recorded_test)
+        def reference_walk(rows, v, allowed, length, left, path):
+            path += reference_find_cycle_through(complemented(rows), v, allowed, length, Budget()) or ()
+            return left
+
+        monkeypatch.setattr(detect, "complement_cycle_through", recorded_walk)
+        monkeypatch.setattr(ramsey, "_complement_wheel_through", recorded_test)
         assert ramsey.arrows(13, 4, 7).survivors[8] == 279
         assert len(tests) == 1690 and len(walks) > 1000
         for args, found in walks:
             assert reference_find_cycle_through(*args, Budget()) == found, args
-        monkeypatch.setattr(_cycles, "find_cycle_through", reference_find_cycle_through)
-        monkeypatch.setattr(detect, "find_cycle_through", reference_find_cycle_through)
-        for args, found in tests:
-            assert test(*args) == found, args
+        monkeypatch.setattr(detect, "complement_cycle_through", reference_walk)
+        for args, hub, rim in tests:
+            again = []
+            assert (test(*args, again), tuple(again)) == (hub, rim), args
 
     def test_early_none_draws_no_node(self):
         g = complete(6)
-        budget = Budget(0)
         # v outside the mask, and a mask with fewer than ``length`` vertices
-        assert find_cycle_through(g.rows, 0, 0b111110, 3, budget) is None
-        assert find_cycle_through(g.rows, 0, 0b001111, 5, budget) is None
+        assert walk(g.rows, 0, 0b111110, 3, 0) == (None, 0)
+        assert walk(g.rows, 0, 0b001111, 5, 0) == (None, 0)
         # a mask of exactly ``length`` vertices, one of them (a path's end,
         # or an isolated vertex) with fewer than two neighbours inside
-        assert find_cycle_through(path(6).rows, 0, 0b011111, 5, budget) is None
-        assert find_cycle_through(cycle(6).rows, 2, 0b011111, 5, budget) is None
+        assert walk(path(6).rows, 0, 0b011111, 5, 0) == (None, 0)
+        assert walk(cycle(6).rows, 2, 0b011111, 5, 0) == (None, 0)
         k5 = complete(5).disjoint_union(empty_graph(1))
-        assert find_cycle_through(k5.rows, 0, 0b100111, 4, budget) is None
-        assert budget.remaining == 0
+        assert walk(k5.rows, 0, 0b100111, 4, 0) == (None, 0)
         with pytest.raises(SearchBudgetExceeded):
-            find_cycle_through(g.rows, 0, 0b011111, 5, budget)
+            walk(g.rows, 0, 0b011111, 5, 0)
         with pytest.raises(SearchBudgetExceeded):
-            find_cycle_through(cycle(6).rows, 2, 0b111111, 6, Budget(0))
+            walk(cycle(6).rows, 2, 0b111111, 6, 0)
 
     @pytest.mark.parametrize("length", [3, 4, 6])
     def test_budget_one_node_short_raises(self, length):
-        # the walk draws a node per call above its last two steps: one
-        # fewer raises, and exactly that many gives the same answer
+        # the walk draws a node at v and at each vertex above its last two
+        # steps: one fewer raises, and exactly that many gives the same answer
         k34 = Graph.from_edges(7, [(i, 3 + j) for i in range(3) for j in range(4)])
         for g in (complete(7), k34, wheel(6), cycle(7), path(7)):
             full = (1 << g.n) - 1
-            budget = Budget()
-            found = find_cycle_through(g.rows, 0, full, length, budget)
-            nodes = DEFAULT_NODE_BUDGET - budget.remaining
+            found, nodes = walk(g.rows, 0, full, length)
             assert nodes >= 1, (g.rows, length)
-            short = Budget(nodes - 1)
             with pytest.raises(SearchBudgetExceeded):
-                find_cycle_through(g.rows, 0, full, length, short)
-            assert short.remaining == -1
-            exact = Budget(nodes)
-            assert find_cycle_through(g.rows, 0, full, length, exact) == found
-            assert exact.remaining == 0
+                walk(g.rows, 0, full, length, nodes - 1)
+            assert walk(g.rows, 0, full, length, nodes) == (found, nodes)
 
     def test_stays_inside_the_mask(self):
         # wheel(6) minus the hub: the rim alone is the only 6-cycle
         g = wheel(6)
         rim = (1 << 6) - 1
-        assert find_cycle_through(g.rows, 0, rim, 6, Budget()) == (0, 1, 2, 3, 4, 5)
-        assert find_cycle_through(g.rows, 0, rim, 5, Budget()) is None
-        assert find_cycle_within(g.rows, rim ^ 1, 5, Budget()) is None
+        assert walk(g.rows, 0, rim, 6)[0] == (0, 1, 2, 3, 4, 5)
+        assert walk(g.rows, 0, rim, 5)[0] is None
+        assert all(walk(g.rows, v, rim ^ 1, 5)[0] is None for v in range(1, 6))
 
 
 class TestSpectrum:

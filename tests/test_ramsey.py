@@ -9,7 +9,7 @@ import pytest
 
 import starwheel
 from _oracles import naive_contains_wheel
-from starwheel import _cycles, enumeration, ramsey
+from starwheel import _cycles, detect, enumeration, ramsey
 from starwheel.construct import lower_bound_witness, theta
 from starwheel.core import Graph, complete, empty_graph, max_degree
 from starwheel.detect import (
@@ -282,16 +282,42 @@ class TestArrows:
         # it the siblings its wheel rule drops, or if the canonicity
         # rejections vouch for other siblings
         calls = []
-        test = ramsey._wheel_through
+        test = ramsey._complement_wheel_through
 
         def counted(*args):
             calls.append(args[1])
             return test(*args)
 
-        monkeypatch.setattr(ramsey, "_wheel_through", counted)
+        monkeypatch.setattr(ramsey, "_complement_wheel_through", counted)
         report = arrows(13, 4, 7)
         assert report.survivors[8] == 279
         assert len(calls) == 1690
+
+    @pytest.mark.parametrize("order,n,m,nodes", [(13, 4, 7, 15008), (13, 5, 6, 192901)])
+    def test_wheel_test_nodes_pinned(self, monkeypatch, order, n, m, nodes):
+        # the nodes all walks of a scan's wheel tests draw: the count moves
+        # if the walk's order or its node accounting changes
+        drawn = []
+        walk = detect.complement_cycle_through
+
+        def counted(rows, v, allowed, length, left, path):
+            rest = walk(rows, v, allowed, length, left, path)
+            drawn.append(left - rest)
+            return rest
+
+        monkeypatch.setattr(detect, "complement_cycle_through", counted)
+        assert arrows(order, n, m).holds
+        assert sum(drawn) == nodes
+
+    @pytest.mark.parametrize("order,n,m,most", [(13, 4, 7, 1186), (11, 4, 6, 168)])
+    def test_budget_boundary_pinned(self, monkeypatch, order, n, m, most):
+        # the most nodes one wheel test of the scan draws, on a default
+        # budget read afresh for each test: one node fewer raises
+        monkeypatch.setattr(_cycles, "DEFAULT_NODE_BUDGET", most - 1)
+        with pytest.raises(SearchBudgetExceeded):
+            arrows(order, n, m)
+        monkeypatch.setattr(_cycles, "DEFAULT_NODE_BUDGET", most)
+        assert arrows(order, n, m).holds
 
     @pytest.mark.slow
     def test_survivors_per_level_pinned_at_5_8(self):
