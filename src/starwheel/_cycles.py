@@ -56,8 +56,10 @@ vertex (its reverse would have been met first otherwise), so the walk
 needs no test of direction. It recurses through the module-level
 ``_complement_walk``, so a call builds no closure and leaves the cyclic
 collector nothing, and it counts its nodes down in a plain int that the
-caller hands in and gets back (``find_cycle_of_length``'s walk is still
-a closure on a ``Budget``).
+caller hands in and gets back. ``find_cycle_of_length``'s walk is a
+closure on a ``Budget``, made once per anchor that passes the capacity
+bound; it drops its own name when the anchor's walk ends, exhausted or
+not, so refcounting frees it and the collector finds nothing there either.
 """
 
 from __future__ import annotations
@@ -348,7 +350,11 @@ def find_cycle_of_length(rows, n: int, length: int, budget: Budget | None = None
                 budgets[nxt] += 1
             return False
 
-        if dfs(anchor, length - 1, -1 if budgets[anchor] else ~(1 << anchor), excess):
+        try:
+            found = dfs(anchor, length - 1, -1 if budgets[anchor] else ~(1 << anchor), excess)
+        finally:
+            del dfs  # dfs holds a reference to itself: drop it so refcounting frees it
+        if found:
             cycle = []
             for c in [anchor] + path[::-1]:
                 cycle.append((members[c] & -members[c]).bit_length() - 1)

@@ -1,10 +1,12 @@
 """Constructions: circulants, k-regular graphs with bounded components, and
 the lower-bound witness graph for the star-wheel Ramsey problem.
 
-The bounded-component construction follows a fixed case analysis on
-n mod (2k+1) (k even) or n mod 2k (k odd), assembling disjoint unions of
-small regular blocks; each remainder branch is exercised separately in the
-tests since an off-by-one here silently breaks regularity.
+The bounded-component construction is one case analysis on n mod big,
+where big = 2k+1 for even k and 2k for odd k (a k-regular graph of odd k
+has even order): q blocks of order big, plus one block of the remainder r
+when r >= k+1, or, when 1 <= r <= k, one big block traded for blocks of
+orders k+1 and big+r-k-1. Each branch is exercised in the tests, since an
+off-by-one here silently breaks regularity.
 """
 
 from __future__ import annotations
@@ -56,28 +58,16 @@ def regular_bounded_components(k: int, n: int) -> Graph:
         raise ValueError(f"regular graph needs n >= k+1 (k={k}, n={n})")
     if k % 2 == 1 and n % 2 == 1:
         raise ValueError(f"k and n are both odd (k={k}, n={n}); k or n must be even")
-    if n <= 2 * k + 1:
-        return regular_small(k, n)
-
-    if k % 2 == 0:
-        q, r = divmod(n, 2 * k + 1)
-        if r == 0:
-            orders = [2 * k + 1] * q
-        elif r >= k + 1:
-            orders = [2 * k + 1] * q + [r]
-        else:
-            # 1 <= r <= k: one big block is traded for k+1 and k+r
-            orders = [2 * k + 1] * (q - 1) + [k + 1, k + r]
+    big = 2 * k + 1 - k % 2  # odd k needs an even block order
+    q, r = divmod(n, big)
+    if r == 0:
+        orders = [big] * q
+    elif r >= k + 1:
+        orders = [big] * q + [r]
     else:
-        q, r = divmod(n, 2 * k)
-        # n even and 2qk even force r even
-        if r == 0:
-            orders = [2 * k] * q
-        elif r >= k + 1:
-            orders = [2 * k] * q + [r]
-        else:
-            # 2 <= r <= k-1: one big block is traded for k+1 and k+r-1
-            orders = [2 * k] * (q - 1) + [k + 1, k + r - 1]
+        # 1 <= r <= k: one big block is traded for two whose orders, k+1 and
+        # big+r-k-1, both lie in [k+1, big]
+        orders = [big] * (q - 1) + [k + 1, big + r - k - 1]
 
     g = empty_graph(0)
     for order in orders:

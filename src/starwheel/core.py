@@ -7,8 +7,6 @@ and safe to share across workers.
 
 from __future__ import annotations
 
-from collections import deque
-
 from . import _cycles
 from ._record import Frozen
 
@@ -189,28 +187,38 @@ def components(g: Graph) -> list:
     return [tuple(_bits(c)) for c in _cycles.components(g.rows, (1 << g.n) - 1)]
 
 
+def _layer_step(rows, layer: int):
+    """(the union of the rows of ``layer``'s vertices, the vertices in two
+    or more of those rows): one BFS step from a layer held as a mask."""
+    hit = twice = 0
+    while layer:
+        low = layer & -layer
+        layer ^= low
+        row = rows[low.bit_length() - 1]
+        twice |= hit & row
+        hit |= row
+    return hit, twice
+
+
 def is_bipartite(g: Graph):
     """A bipartition (X, Y) as sorted tuples, or None.
 
-    The smallest vertex of each component goes to X.
+    BFS layers from each component's least vertex, which goes to X, with
+    the layers alternating sides. An edge joins layers at most one apart,
+    so g is bipartite iff no edge lies inside a layer.
     """
-    color = [-1] * g.n
-    for start in range(g.n):
-        if color[start] != -1:
-            continue
-        color[start] = 0
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for v in _bits(g.rows[u]):
-                if color[v] == -1:
-                    color[v] = 1 - color[u]
-                    queue.append(v)
-                elif color[v] == color[u]:
-                    return None
-    xs = tuple(v for v in range(g.n) if color[v] == 0)
-    ys = tuple(v for v in range(g.n) if color[v] == 1)
-    return (xs, ys)
+    sides = [0, 0]
+    unseen = (1 << g.n) - 1
+    while unseen:
+        layer, side = unseen & -unseen, 0
+        while layer:
+            unseen ^= layer
+            sides[side] |= layer
+            hit = _layer_step(g.rows, layer)[0]
+            if hit & layer:
+                return None
+            layer, side = hit & unseen, side ^ 1
+    return tuple(_bits(sides[0])), tuple(_bits(sides[1]))
 
 
 def _block_decomposition(g: Graph):
@@ -241,47 +249,41 @@ def is_two_connected(g: Graph) -> bool:
 def girth(g: Graph):
     """Length of a shortest cycle, or None for forests.
 
-    BFS from every root; for each non-tree edge (u, w) the closed walk
-    root->u->w->root has length dist[u]+dist[w]+1 and always contains a
-    cycle no longer than that, with equality achieved for roots on a
-    shortest cycle.
+    BFS layers from every root. An edge inside layer d closes a cycle of
+    length at most 2d+1, and a vertex of layer d+1 with two neighbours in
+    layer d one of length at most 2d+2. A root on a shortest cycle finds
+    exactly its length; a root's BFS stops once 2d+1 reaches the best.
     """
-    best = None
-    dist = [-1] * g.n
-    parent = [-1] * g.n
+    best = g.n + 1
     for root in range(g.n):
-        for v in range(g.n):
-            dist[v] = -1
-        dist[root] = 0
-        parent[root] = -1
-        queue = deque([root])
-        while queue:
-            u = queue.popleft()
-            if best is not None and 2 * dist[u] >= best:
-                continue
-            for v in _bits(g.rows[u]):
-                if dist[v] == -1:
-                    dist[v] = dist[u] + 1
-                    parent[v] = u
-                    queue.append(v)
-                elif parent[u] != v and parent[v] != u:
-                    cand = dist[u] + dist[v] + 1
-                    if best is None or cand < best:
-                        best = cand
-    return best
+        seen = layer = 1 << root
+        odd = 1  # 2d+1 at layer d
+        while layer and odd < best:
+            hit, twice = _layer_step(g.rows, layer)
+            if hit & layer:
+                best = odd
+            elif twice & ~seen:
+                best = odd + 1
+            layer = hit & ~seen
+            seen |= layer
+            odd += 2
+    return best if best <= g.n else None
 
 
 def circumference(g: Graph):
     """Length of a longest cycle, or None for forests.
 
-    Exhaustive search, exact; intended for small orders (<= ~16). One
+    Every cycle lies inside one block, so the exhaustive search runs from
+    the largest block's order down; with no block of 3 or more vertices
+    there is no cycle. Exact; intended for small orders (<= ~16). One
     ``_cycles.DEFAULT_NODE_BUDGET`` is shared across the whole call and
     exhaustion raises, never returning a wrong answer.
     """
-    if girth(g) is None:
+    top = max((b.bit_count() for b in _cycles.blocks(g.rows, g.n)[0]), default=0)
+    if top < 3:
         return None
     budget = _cycles.Budget()
-    for length in range(g.n, 2, -1):
+    for length in range(top, 2, -1):
         if _cycles.find_cycle_of_length(g.rows, g.n, length, budget) is not None:
             return length
-    raise AssertionError("girth found a cycle but circumference did not")
+    raise AssertionError("a block of 3 or more vertices holds no cycle")

@@ -19,7 +19,8 @@ it narrows the mask of vertices still tied and collects those that beat
 the target, in O(depth) mask steps with no word built. Interchangeable
 vertices (equal rows ignoring their mutual bits, so swapping them is an
 automorphism) are pruned to one representative per node, using the twin
-partition ``_cycles.twin_reps`` that the cycle engine shares. The canonical
+partition ``_cycles.twin_reps``, the same twin rule by which the cycle
+engine builds its own classes. The canonical
 form reuses this test: it relabels by the prefix that beats the current
 labeling (unplaced vertices after it, in index order) until none does.
 

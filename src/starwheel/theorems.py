@@ -23,8 +23,9 @@ from .core import (
     is_two_connected,
     min_degree,
 )
-from .detect import contains_star, contains_wheel, has_cycle_of_length, is_weakly_pancyclic
+from .detect import StarWitness, has_cycle_of_length, is_weakly_pancyclic
 from .enumeration import enumerate_degree_bounded
+from .ramsey import is_good_coloring
 
 __all__ = [
     "HYPOTHESIS_NOT_MET",
@@ -105,19 +106,19 @@ def check_jackson(g: Graph, xs, ys) -> Verdict:
 
 def verify_construction(n: int, m: int) -> Verdict:
     """Mechanize the lower-bound proof on the constructed witness: the order
-    claim, star-freeness, complement wheel-freeness, and the component-size
-    claim for the regular graph the witness was built from."""
+    claim, goodness (no K_{1,n}, a W_m-free complement) by
+    ``is_good_coloring``, and the component-size and degree claims for the
+    regular graph the witness was built from."""
     w = lower_bound_witness(n, m)  # raises on hypothesis violation
     t = theta(n, m)
     expected = 2 * n + m // 2 - t - 1
     if w.n != expected:
         return Verdict(COUNTEREXAMPLE, witness=w, detail=f"order {w.n} != {expected}")
-    star = contains_star(w, n)
-    if star is not None:
-        return Verdict(COUNTEREXAMPLE, witness=star, detail=f"witness contains K_{{1,{n}}}")
-    wheel = contains_wheel(w.complement(), m)
-    if wheel is not None:
-        return Verdict(COUNTEREXAMPLE, witness=wheel, detail=f"complement contains W_{m}")
+    good = is_good_coloring(w, n, m)
+    if not good:
+        star = isinstance(good.violation, StarWitness)
+        detail = f"witness contains K_{{1,{n}}}" if star else f"complement contains W_{m}"
+        return Verdict(COUNTEREXAMPLE, witness=good.violation, detail=detail)
     h_order = n + m // 2 - t - 1
     h = w.induced_subgraph(range(h_order)).complement()
     oversized = [c for c in components(h) if len(c) > m - 1]

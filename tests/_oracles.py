@@ -2,7 +2,7 @@
 
 Everything here is deliberately naive and separate from the library's own
 algorithms: cycle queries enumerate vertex subsets and cyclic orders,
-isomorphism is permutation search, and class counting marks whole orbits
+bipartitions come from a per-vertex depth-first two-colouring, isomorphism is permutation search, and class counting marks whole orbits
 of labeled graphs. The canonicity backtrack is kept in a per-vertex form,
 which builds each unplaced vertex's word bit by bit, the cycle search
 in a per-class form, which tests each candidate class bit by bit, and
@@ -52,6 +52,26 @@ def naive_girth(g: Graph):
 def naive_circumference(g: Graph):
     spectrum = naive_cycle_spectrum(g)
     return max(spectrum) if spectrum else None
+
+
+def naive_bipartition(g: Graph):
+    """(X, Y) as sorted tuples with each component's least vertex in X, or
+    None: a per-vertex two-colouring by depth-first search."""
+    color = [-1] * g.n
+    for start in range(g.n):
+        if color[start] != -1:
+            continue
+        color[start] = 0
+        stack = [start]
+        while stack:
+            u = stack.pop()
+            for v in g.neighbors(u):
+                if color[v] == -1:
+                    color[v] = 1 - color[u]
+                    stack.append(v)
+                elif color[v] == color[u]:
+                    return None
+    return tuple(v for v in range(g.n) if color[v] == 0), tuple(v for v in range(g.n) if color[v] == 1)
 
 
 def naive_contains_wheel(g: Graph, m: int) -> bool:

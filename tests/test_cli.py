@@ -1,3 +1,4 @@
+import hashlib
 import io
 import subprocess
 import sys
@@ -139,6 +140,17 @@ class TestSearch:
         code, out, _ = run_cli(["search", "4", "6", "--max-order", "9"], capsys=capsys)
         assert code == 1
         assert out.splitlines()[-1] == "R(K_{1,4},W_6) > 9"
+
+    def test_stdout_is_pinned(self, capsys):
+        # the benchmark's ladder and frontier cases, serial: the report
+        # lines and witnesses must keep their bytes
+        out = ""
+        for n, m in [(4, 4), (4, 5), (4, 6), (4, 7), (3, 8), (5, 6)]:
+            code, text, _ = run_cli(["search", str(n), str(m), "--threads", "1"], capsys=capsys)
+            assert code == 0
+            out += text
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == "16aec96f02058f3d9f1a354fce36a50951a2c9ac2eeebcbe9faad09e3d47e9ec"
 
     def test_bad_flags_exit_2(self, capsys):
         with pytest.raises(SystemExit) as exc:

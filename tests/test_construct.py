@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from _oracles import brute_isomorphic
@@ -122,14 +124,24 @@ class TestRegularBoundedComponents:
         assert regular_bounded_components(2, 5) == cycle(5)
 
     def test_exhaustive_small(self):
-        for k in range(0, 7):
-            for n in range(k + 1, 31):
-                if k % 2 == 1 and n % 2 == 1:
+        # every k <= 11 and n < 80: defined iff n > k and k or n is even,
+        # and the 663 graphs built keep the rows they had when the even-k
+        # and odd-k case analyses were written out separately
+        built = []
+        for k in range(12):
+            for n in range(80):
+                if n <= k or k % 2 == 1 and n % 2 == 1:
+                    with pytest.raises(ValueError):
+                        regular_bounded_components(k, n)
                     continue
                 g = regular_bounded_components(k, n)
                 assert g.n == n
                 assert is_regular(g, k), (k, n)
                 assert all(len(c) <= 2 * k + 1 for c in components(g)), (k, n)
+                built.append(g.rows)
+        assert len(built) == 663
+        digest = hashlib.sha256(repr(built).encode()).hexdigest()
+        assert digest == "18cb196e044a9d239b155ba59ab15897641ff3ed6cf2cb43a49c7a2ef1e5acc5"
 
 
 class TestTheta:

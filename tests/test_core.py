@@ -4,7 +4,9 @@ import pytest
 
 from _oracles import (
     brute_isomorphic,
+    naive_bipartition,
     naive_circumference,
+    naive_cycle_spectrum,
     naive_girth,
     random_graph,
     random_permutation,
@@ -211,6 +213,17 @@ class TestGirthCircumference:
             assert (low is None) == (high is None)
             if low is not None:
                 assert low <= high
+
+    def test_every_graph_to_order_seven(self, corpus_by_order):
+        # one graph per isomorphism class, 1,252 in all, against the
+        # brute-force cycle spectrum and a depth-first two-colouring
+        graphs = [g for order in range(1, 8) for g in corpus_by_order[order]]
+        assert len(graphs) == 1252
+        for g in graphs:
+            spectrum = naive_cycle_spectrum(g)
+            assert girth(g) == (min(spectrum) if spectrum else None), g
+            assert circumference(g) == (max(spectrum) if spectrum else None), g
+            assert is_bipartite(g) == naive_bipartition(g), g
 
     def test_isomorphism_invariance(self):
         rng = random.Random(23)

@@ -15,6 +15,7 @@ from starwheel.core import Graph, complete, empty_graph, max_degree
 from starwheel.detect import (
     SearchBudgetExceeded,
     StarWitness,
+    WheelWitness,
     contains_wheel,
     has_cycle_of_length,
     wheel_through,
@@ -469,6 +470,24 @@ class TestArrows:
         # when done, so refcounting frees all the scan makes and the cyclic
         # collector finds nothing, whether the scan ends or stops early
         assert arrows(order, n, m).holds == holds
+        assert gc.collect() == 0
+
+    def test_goodness_leaves_no_cyclic_garbage(self, no_gc):
+        # the certify path: find_cycle_of_length's walk drops its reference
+        # to itself when each anchor's walk ends, also when the budget runs
+        # out; each witness is wheel-free, and test_detect pins the wheel
+        # its flipped copy has in the complement
+        for n, m, pair in [(5, 6, (0, 3)), (6, 8, (2, 6)), (7, 10, (0, 6)), (7, 8, (5, 6))]:
+            w = lower_bound_witness(n, m)
+            assert is_good_coloring(w, n, m)
+            rows = list(w.rows)
+            u, v = pair
+            rows[u] ^= 1 << v
+            rows[v] ^= 1 << u
+            flipped = Graph(w.n, rows)
+            assert isinstance(is_good_coloring(flipped, n, m).violation, WheelWitness)
+            with pytest.raises(SearchBudgetExceeded):
+                is_good_coloring(flipped, n, m, node_budget=2)
         assert gc.collect() == 0
 
     def test_import_loads_no_pool_module(self):

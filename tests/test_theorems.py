@@ -3,7 +3,10 @@ import random
 import pytest
 
 from _oracles import random_graph, random_permutation
+from starwheel import theorems
+from starwheel.construct import lower_bound_witness
 from starwheel.core import Graph, complete, cycle, path, wheel
+from starwheel.detect import StarWitness, WheelWitness
 from starwheel.theorems import (
     CONCLUSION_HOLDS,
     COUNTEREXAMPLE,
@@ -79,6 +82,36 @@ class TestVerifyConstruction:
     def test_hypothesis_violation_is_an_error(self):
         with pytest.raises(ValueError):
             verify_construction(3, 6)
+
+    @staticmethod
+    def _flipped(n, m, u, v):
+        rows = list(lower_bound_witness(n, m).rows)
+        rows[u] ^= 1 << v
+        rows[v] ^= 1 << u
+        return Graph(len(rows), rows)
+
+    def test_star_counterexample(self, monkeypatch):
+        # in the (6, 8) witness complement(H) has degree 4 and K_6 degree 5,
+        # so the added edge (0, 13) gives vertex 13 a K_{1,6}
+        assert not lower_bound_witness(6, 8).has_edge(0, 13)
+        bad = self._flipped(6, 8, 0, 13)
+        monkeypatch.setattr(theorems, "lower_bound_witness", lambda n, m: bad)
+        verdict = verify_construction(6, 8)
+        assert verdict.status == COUNTEREXAMPLE
+        assert isinstance(verdict.witness, StarWitness) and verdict.witness.center == 13
+        assert verdict.witness.validate(bad, 6)
+        assert verdict.detail == "witness contains K_{1,6}"
+
+    def test_wheel_counterexample(self, monkeypatch):
+        # the edge (2, 6) removed puts a W_8 with hub 2 in the complement
+        # (the wheel pinned in test_detect)
+        bad = self._flipped(6, 8, 2, 6)
+        monkeypatch.setattr(theorems, "lower_bound_witness", lambda n, m: bad)
+        verdict = verify_construction(6, 8)
+        assert verdict.status == COUNTEREXAMPLE
+        assert isinstance(verdict.witness, WheelWitness)
+        assert (verdict.witness.hub, verdict.witness.rim) == (2, (0, 8, 1, 9, 3, 10, 6, 11))
+        assert verdict.detail == "complement contains W_8"
 
 
 class TestInvariance:
