@@ -77,8 +77,7 @@ def _cmd_search(args) -> int:
     if result.decided:
         print(f"{name} = {result.ramsey_number}")
         return 0
-    ceiling = args.max_order if args.max_order is not None else formula(args.n, args.m).value
-    print(f"{name} > {ceiling}")
+    print(f"{name} > {result.reports[-1].order}")
     return 1
 
 

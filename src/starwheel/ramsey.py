@@ -63,8 +63,10 @@ def formula(n: int, m: int) -> Bound:
     """The complete known formula table for R(K_{1,n}, W_m).
 
     Exact for every (n, m) except even m with 10 <= m <= n+1, where only
-    the lower bound 2n + m/2 - theta is known. Overlapping theorem cases
-    are checked to agree at runtime.
+    the lower bound 2n + m/2 - theta is known (ThLower). That value is
+    computed once, for the even 6 <= m <= 2n-2 (the ThExactly, M6M8Remark
+    and ThLower rows), where lower_bound_witness builds a good coloring one
+    order below it. Overlapping cases must agree at runtime.
     """
     if n < 2:
         raise ValueError(f"n >= 2 required, got n={n}")
@@ -78,22 +80,21 @@ def formula(n: int, m: int) -> Bound:
         cases["ThHaBaAs"] = 3 * n + 1
     if m == 4:
         cases["ThSuBa"] = 2 * n + 1 if n % 2 == 0 else 2 * n + 3
-    if m % 2 == 0 and n + 2 <= m <= 2 * n - 2:
-        cases["ThExactly"] = 2 * n + m // 2 - theta(n, m)
-    if m in (6, 8) and m <= 2 * n - 2:
-        cases["M6M8Remark"] = 2 * n + m // 2 - theta(n, m)
+    if m % 2 == 0 and 6 <= m <= 2 * n - 2:
+        value = 2 * n + m // 2 - theta(n, m)
+        if m >= n + 2:
+            cases["ThExactly"] = value
+        if m in (6, 8):
+            cases["M6M8Remark"] = value
+        if not cases:
+            # residual gap: even m >= 10 with m <= n+1
+            return Bound(value, LOWER_ONLY, "ThLower")
 
-    if cases:
-        values = set(cases.values())
-        if len(values) != 1:
-            raise AssertionError(f"theorem cases disagree at (n={n}, m={m}): {cases}")
-        source = next(s for s in _SOURCE_PRECEDENCE if s in cases)
-        return Bound(values.pop(), EXACT, source)
-
-    # residual gap: even m >= 10 with m <= n+1; the ThLower hypothesis holds
-    if not (m % 2 == 0 and 10 <= m <= n + 1):
-        raise AssertionError(f"no formula case covers (n={n}, m={m})")
-    return Bound(2 * n + m // 2 - theta(n, m), LOWER_ONLY, "ThLower")
+    values = set(cases.values())
+    if len(values) != 1:
+        raise AssertionError(f"formula cases at (n={n}, m={m}) give no single value: {cases}")
+    source = next(s for s in _SOURCE_PRECEDENCE if s in cases)
+    return Bound(values.pop(), EXACT, source)
 
 
 class Goodness(Frozen):
@@ -274,16 +275,15 @@ def arrows(order: int, n: int, m: int, workers: int = 1) -> SearchReport:
     return SearchReport(n, m, order, "arrows-holds", total, elapsed, survivors=survivors)
 
 
-def _witness_shortcut(order: int, n: int, m: int) -> SearchReport | None:
-    """A certified lower-bound witness replaces the scan at its own order."""
-    if m % 2 != 0 or not 6 <= m <= 2 * n - 2:
-        return None
-    if order != 2 * n + m // 2 - theta(n, m) - 1:
+def _witness_shortcut(order: int, n: int, m: int, bound: Bound) -> SearchReport | None:
+    """The lower-bound witness replaces the scan at order ``bound.value - 1``
+    on the rows it certifies; one that is not good raises AssertionError."""
+    if order != bound.value - 1 or bound.source not in ("ThExactly", "M6M8Remark", "ThLower"):
         return None
     started = time.perf_counter()
     witness = lower_bound_witness(n, m)
     if not is_good_coloring(witness, n, m):
-        return None
+        raise AssertionError(f"the lower-bound witness at (n={n}, m={m}) is not a good coloring")
     elapsed = (time.perf_counter() - started) * 1000.0
     return SearchReport(n, m, order, "good-graph-found", 0, elapsed, witness)
 
@@ -313,10 +313,13 @@ class RamseySearch(Record):
 def compute_ramsey(n: int, m: int, max_order: int | None = None, workers: int = 1) -> RamseySearch:
     """Smallest N <= max_order with arrows(N, n, m), by exhaustive search.
 
-    Scanning starts at formula(n, m).value - 1, where the lower-bound
-    witness of the construction module certifies the good side without
-    enumeration whenever its hypothesis applies. Upward monotonicity of
-    arrows makes the first arrows-holds order the Ramsey number.
+    Scanning starts at formula(n, m).value - 1, or at max_order (default
+    formula(n, m).value) when lower; on the ThExactly, M6M8Remark and
+    ThLower rows the lower-bound witness certifies that order without
+    enumeration. Upward monotonicity of arrows makes the first
+    arrows-holds order the Ramsey number. If arrows holds at the start,
+    the search walks down to a good coloring, which arrows(0) always has.
+    An undecided search ends with its report at max_order.
     """
     bound = formula(n, m)
     if max_order is None:
@@ -327,35 +330,26 @@ def compute_ramsey(n: int, m: int, max_order: int | None = None, workers: int = 
     reports = []
 
     def run(order: int) -> SearchReport:
-        report = _witness_shortcut(order, n, m) or arrows(order, n, m, workers)
+        report = _witness_shortcut(order, n, m, bound) or arrows(order, n, m, workers)
         reports.append(report)
         return report
 
     value = None
-    extremal = None
     order = max(0, min(bound.value - 1, max_order))
     report = run(order)
-    if report.holds:
-        # formula said R > order; walk down to re-establish the floor
-        while order > 0:
-            order -= 1
-            report = run(order)
-            if not report.holds:
-                extremal = report.witness
-                value = order + 1
-                break
-        else:
-            value = 0
-    else:
-        extremal = report.witness
+    # arrows holding here means formula said R > order: walk down to the floor
+    while report.holds:
+        order -= 1
+        report = run(order)
+        value = order + 1
+    extremal = report.witness
+    while value is None and order < max_order:
         order += 1
-        while order <= max_order:
-            report = run(order)
-            if report.holds:
-                value = order
-                break
+        report = run(order)
+        if report.holds:
+            value = order
+        else:
             extremal = report.witness
-            order += 1
 
     elapsed = (time.perf_counter() - started) * 1000.0
     total = sum(r.enumerated for r in reports)

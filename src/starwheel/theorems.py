@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from . import graph6
 from ._record import Frozen, Record
-from .construct import lower_bound_witness, theta
+from .construct import lower_bound_witness
 from .core import (
     Graph,
     components,
@@ -25,7 +25,7 @@ from .core import (
 )
 from .detect import StarWitness, has_cycle_of_length, is_weakly_pancyclic
 from .enumeration import enumerate_degree_bounded
-from .ramsey import is_good_coloring
+from .ramsey import formula, is_good_coloring
 
 __all__ = [
     "HYPOTHESIS_NOT_MET",
@@ -106,12 +106,12 @@ def check_jackson(g: Graph, xs, ys) -> Verdict:
 
 def verify_construction(n: int, m: int) -> Verdict:
     """Mechanize the lower-bound proof on the constructed witness: the order
-    claim, goodness (no K_{1,n}, a W_m-free complement) by
-    ``is_good_coloring``, and the component-size and degree claims for the
-    regular graph the witness was built from."""
+    claim (one less than ``formula(n, m)``), goodness (no K_{1,n}, a W_m-free
+    complement) by ``is_good_coloring``, and the component-size and degree
+    claims for the regular graph H the witness was built from, read back as
+    the complement of everything before its final K_n."""
     w = lower_bound_witness(n, m)  # raises on hypothesis violation
-    t = theta(n, m)
-    expected = 2 * n + m // 2 - t - 1
+    expected = formula(n, m).value - 1
     if w.n != expected:
         return Verdict(COUNTEREXAMPLE, witness=w, detail=f"order {w.n} != {expected}")
     good = is_good_coloring(w, n, m)
@@ -119,8 +119,7 @@ def verify_construction(n: int, m: int) -> Verdict:
         star = isinstance(good.violation, StarWitness)
         detail = f"witness contains K_{{1,{n}}}" if star else f"complement contains W_{m}"
         return Verdict(COUNTEREXAMPLE, witness=good.violation, detail=detail)
-    h_order = n + m // 2 - t - 1
-    h = w.induced_subgraph(range(h_order)).complement()
+    h = w.induced_subgraph(range(w.n - n)).complement()
     oversized = [c for c in components(h) if len(c) > m - 1]
     if oversized:
         return Verdict(COUNTEREXAMPLE, witness=h, detail=f"regular part has a component of order > {m - 1}")

@@ -141,6 +141,12 @@ class TestSearch:
         assert code == 1
         assert out.splitlines()[-1] == "R(K_{1,4},W_6) > 9"
 
+    def test_ceiling_zero_exit_1(self, capsys):
+        # the ceiling printed is the last order scanned, here the empty graph's
+        code, out, _ = run_cli(["search", "3", "5", "--max-order", "0", "--threads", "1"], capsys=capsys)
+        assert code == 1
+        assert out.splitlines()[-1] == "R(K_{1,3},W_5) > 0"
+
     def test_stdout_is_pinned(self, capsys):
         # the benchmark's ladder and frontier cases, serial: the report
         # lines and witnesses must keep their bytes

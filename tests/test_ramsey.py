@@ -117,6 +117,24 @@ class TestFormula:
                     # never below the proven lower bound
                     assert bound.value >= 2 * n + m // 2 - theta(n, m)
 
+    def test_witness_builds_exactly_on_the_theta_rows(self):
+        # the witness shortcut keys on formula's source: the construction
+        # must build on those rows, one order below the value, and nowhere else
+        built = 0
+        for n in range(2, 31):
+            for m in range(3, 71):
+                bound = formula(n, m)
+                try:
+                    w = lower_bound_witness(n, m)
+                except ValueError:
+                    w = None
+                theta_row = bound.source in ("ThExactly", "M6M8Remark", "ThLower")
+                assert (w is not None) == theta_row, (n, m, bound)
+                if w is not None:
+                    assert w.n == bound.value - 1, (n, m)
+                    built += 1
+        assert built == 378
+
 
 class TestGoodness:
     def test_empty_graph_is_good_for_tiny_targets(self):
@@ -198,6 +216,15 @@ class TestArrows:
 
     def test_holds_at_5_2_4(self):
         assert arrows(5, 2, 4).holds
+
+    @pytest.mark.parametrize("n,m", [(2, 3), (2, 4), (3, 5), (4, 6), (5, 8)])
+    def test_orders_0_and_1_never_arrow(self, n, m):
+        # the empty and one-vertex graphs are good colorings, so the walk
+        # down in compute_ramsey always stops by order 1
+        for order in (0, 1):
+            report = arrows(order, n, m)
+            assert report.outcome == "good-graph-found"
+            assert report.witness == empty_graph(order)
 
     def test_counterexample_at_10_4_6(self):
         from starwheel.enumeration import is_isomorphic
@@ -339,17 +366,19 @@ class TestArrows:
         assert serial.to_line() == pooled.to_line()
 
     @pytest.mark.parametrize("order,n,m", [(11, 4, 6), (10, 4, 6)])
-    def test_spawned_workers_agree_with_serial(self, monkeypatch, order, n, m):
-        # spawned workers share no memory with the parent: each task must
+    @pytest.mark.parametrize("method", ["spawn", "forkserver"])
+    def test_spawned_workers_agree_with_serial(self, monkeypatch, method, order, n, m):
+        # spawned and forkserver workers share no memory with the parent
+        # (forkserver is Linux's default from Python 3.14): each task must
         # carry its root's rows and proof (twin partition, maps) by pickle
         from concurrent import futures
 
         pool = futures.ProcessPoolExecutor
-        spawn = multiprocessing.get_context("spawn")
+        context = multiprocessing.get_context(method)
         pools = []
 
         def spawning(workers):
-            pools.append(pool(workers, mp_context=spawn))
+            pools.append(pool(workers, mp_context=context))
             return pools[-1]
 
         monkeypatch.setattr(futures, "ProcessPoolExecutor", spawning)
@@ -603,6 +632,12 @@ class TestComputeRamsey:
         assert first.order == 10 and first.enumerated == 0
         assert first.witness == lower_bound_witness(4, 6)
         assert is_good_coloring(first.witness, 4, 6)
+
+    def test_bad_witness_raises(self, monkeypatch):
+        # a certificate that is not good is a fault, not a cue to scan
+        monkeypatch.setattr(ramsey, "lower_bound_witness", lambda n, m: complete(10))
+        with pytest.raises(AssertionError, match=r"\(n=4, m=6\)"):
+            compute_ramsey(4, 6)
 
     def test_report_lines_are_stable(self):
         result = compute_ramsey(2, 4)
